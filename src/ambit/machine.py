@@ -58,10 +58,6 @@ class Machine:
         self.globals = Environment()
         self.macros = syntax.MacroTable()
         self.trace = TraceStack(enabled=stack_trace)
-        # Hot-path aliases; TraceStack mutates these objects in place, so
-        # the identities stay valid for the life of the machine.
-        self.trace_frames = self.trace.frames
-        self.trace_config = self.trace.config
         self.stdout = stdout if stdout is not None else sys.stdout
         self.cont_allocations = 0
         self.halt = self.make_cont(_halt)
@@ -73,7 +69,7 @@ class Machine:
 
     def make_cont(self, label, *fields):
         self.cont_allocations += 1
-        return Cont(label, fields, len(self.trace_frames))
+        return Cont(label, fields, self.trace.spine)
 
     def trampoline(self):
         """Run handlers until `pc` clears, then return the final register."""
@@ -84,7 +80,7 @@ class Machine:
                 pc = self.pc
         except SchemeError as err:
             if err.frames is None:
-                err.frames = self.trace.snapshot()
+                err.frames = self.trace.frames
             self.pc = None
             raise
         return self.final_reg
@@ -124,30 +120,15 @@ class Machine:
             result = self.eval_top(datum, source)
         return result
 
-    def continuation_chain_length(self, k=None):
-        """Debug helper: pending continuation count (k is stored last in
-        every continuation's saved fields)."""
-        if k is None:
-            k = self.k_reg
-        n = 0
-        while isinstance(k, Cont) and k.fields:
-            last = k.fields[-1]
-            if not isinstance(last, Cont):
-                break
-            n += 1
-            k = last
-        return n
-
 
 def apply_cont(m, k, value):
     """Deliver `value` to continuation `k` by setting registers.
 
-    Truncating the trace stack to the continuation's recorded height is what
-    pops the frames of applications that have now produced their result.
+    Making `k`'s frame spine current is what pops the frames of applications
+    that have now produced their result; for a re-entered continuation it
+    brings back the frames that were pending when `k` was made.
     """
-    frames = m.trace_frames
-    if len(frames) > k.depth:
-        del frames[k.depth:]
+    m.trace.spine = k.spine
     m.value_reg = value
     m.fields_reg = k.fields
     m.pc = k.label
@@ -356,8 +337,8 @@ def step_eval(m):
                 m.exp_reg = op
                 m.k_reg = m.make_cont(cont_operator, exp, env, k)
                 return
-        # fused operand loop + direct closure entry for the common shapes;
-        # anything unusual falls back to the generic helpers
+        # fused operand loop for the common shapes; anything unusual falls
+        # back to the generic helpers
         args = exp.args
         n = len(args)
         acc = ()
@@ -390,41 +371,6 @@ def step_eval(m):
                     return
             acc = acc + (value,)
             i += 1
-        if type(proc) is Closure and proc.rest is None and len(proc.params) == n:
-            params = proc.params
-            env2 = Environment(proc.env)
-            if n == 1:
-                env2[params[0]] = acc[0]
-            elif n == 2:
-                env2[params[0]] = acc[0]
-                env2[params[1]] = acc[1]
-            elif n:
-                for j in range(n):
-                    env2[params[j]] = acc[j]
-            if m.trace_config.enabled:
-                frames = m.trace_frames
-                depth = k.depth
-                nf = len(frames)
-                if nf > depth:
-                    del frames[depth:]
-                    nf = depth
-                if exp.op_name is not None:
-                    label = exp.op_name
-                elif proc.name is not None:
-                    label = proc.name.name
-                else:
-                    label = "#<procedure>"
-                frames.append((label, acc, exp.line, exp.col, exp.source))
-                nf += 1
-                if nf > m.trace.high_water:
-                    m.trace.high_water = nf
-            body = proc.body
-            if len(body) == 1:
-                _goto_exp(m, body[0], env2, k)
-            else:
-                _goto_exp(m, body[0], env2,
-                          m.make_cont(cont_begin, body, 1, env2, k))
-            return
         apply_proc(m, proc, acc, k, exp)
         return
     if t is IfExpr:
@@ -645,10 +591,12 @@ def _raise_arity(proc, na):
 def apply_proc(m, proc, args, k, app=None):
     """Apply closure, primitive, or continuation to already-evaluated args.
 
-    Tail calls happen here: the callee runs toward the caller's `k`, so the
-    continuation chain does not grow for calls in tail position.  Entering a
-    closure replaces any trace frames above the continuation's height, which
-    keeps the trace bounded for tail-recursive loops.
+    This is the only place a closure is entered.  Tail calls happen here:
+    the callee runs toward the caller's `k`, so the continuation chain does
+    not grow for calls in tail position.  The callee's trace frame goes on
+    top of `k`'s spine rather than the current one, so a tail call replaces
+    its caller's frame and the trace stays bounded for tail-recursive loops.
+    `app` is the application form, which supplies the label and call site.
     """
     t = type(proc)
     if t is Closure:
@@ -677,28 +625,22 @@ def apply_proc(m, proc, args, k, app=None):
             for i in range(np):
                 env[params[i]] = args[i]
             env[proc.rest] = list_from(args[np:])
-        if m.trace_config.enabled:
-            frames = m.trace_frames
-            depth = k.depth
-            nf = len(frames)
-            if nf > depth:
-                del frames[depth:]
-                nf = depth
-            if app is not None:
-                if app.op_name is not None:
-                    label = app.op_name
-                elif proc.name is not None:
-                    label = proc.name.name
-                else:
-                    label = "#<procedure>"
-                frames.append((label, args, app.line, app.col, app.source))
+        trace = m.trace
+        if trace.config.enabled:
+            # node layout: (label, args, line, col, source, parent, depth)
+            parent = k.spine
+            depth = 1 if parent is None else parent[6] + 1
+            if app is None:
+                trace.spine = (_proc_label(proc, None), args, None, None, None,
+                               parent, depth)
             else:
-                label = proc.name.name if proc.name is not None \
-                    else "#<procedure>"
-                frames.append((label, args, None, None, None))
-            nf += 1
-            if nf > m.trace.high_water:
-                m.trace.high_water = nf
+                label = app.op_name
+                if label is None:
+                    label = _proc_label(proc, None)
+                trace.spine = (label, args, app.line, app.col, app.source,
+                               parent, depth)
+            if depth > trace.high_water:
+                trace.high_water = depth
         body = proc.body
         if len(body) == 1:
             _goto_exp(m, body[0], env, k)
@@ -757,8 +699,8 @@ def invoke_fail(m):
         apply_cont(m, m.halt, NO_MORE_CHOICES)
         return
     alternatives = f.alternatives
-    m.fail_reg = ChoicePoint(alternatives[1:], f.env, f.k, f.parent, f.trace)
-    m.trace.restore(f.trace)
+    m.fail_reg = ChoicePoint(alternatives[1:], f.env, f.k, f.parent, f.spine)
+    m.trace.restore(f.spine)
     _goto_exp(m, alternatives[0], f.env, f.k)
 
 

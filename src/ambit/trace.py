@@ -1,54 +1,22 @@
-"""Stack-like tracebacks maintained beside the continuation chain.
+"""Stack-like tracebacks carried by continuations.
 
-The machine keeps a side stack of pending applications.  Frames are pushed
-when a closure is entered; they are popped by truncation whenever a value is
-delivered to a continuation that was created at a lower stack height.  Tail
-calls therefore replace the caller's frame instead of stacking on top of it,
-so the trace depth stays bounded for loops.
+The pending applications form an immutable spine of frame nodes.  A node is
+the tuple (label, args, line, col, source, parent, depth): the callee label
+and raw argument values captured when the closure was entered, the call
+site, the node below it (None at the bottom) and its height.  Every
+continuation records the spine that was current when it was made, and
+delivering a value to it makes that spine current again, so returning pops
+frames and a re-entered `call/cc` continuation or a resumed choice point
+shows exactly the frames pending where it resumes.  Entering a closure puts
+one node on top of the spine of the continuation the callee returns to, so a
+tail call replaces its caller's frame and the trace stays bounded for loops.
+Rendering to text is deferred until a traceback is actually produced.
 """
 
 from .writer import write_value
 
 ARG_TEXT_LIMIT = 60
 DEFAULT_MAX_FRAMES = 40
-
-
-class TraceFrame(tuple):
-    """One pending application: (callee label, raw args, line, col, source).
-
-    The callee label and raw argument values are captured at push time;
-    rendering to text is deferred until a traceback is actually produced.
-    Any plain 5-tuple of the same shape works interchangeably; the machine
-    pushes raw tuples on its hot path.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, callee, args, line=None, col=None, source=None):
-        return tuple.__new__(cls, (callee, args, line, col, source))
-
-    @property
-    def callee(self):
-        return self[0]
-
-    @property
-    def args(self):
-        return tuple(truncate_text(write_value(a)) for a in self[1])
-
-    @property
-    def line(self):
-        return self[2]
-
-    @property
-    def col(self):
-        return self[3]
-
-    @property
-    def source(self):
-        return self[4]
-
-    def call_text(self):
-        return frame_call_text(self)
 
 
 def frame_call_text(frame):
@@ -67,41 +35,35 @@ class TraceConfig:
 
 
 class TraceStack:
-    """The frame stack plus its configuration; owned by one machine."""
+    """The current frame spine plus its configuration; owned by one machine."""
 
-    __slots__ = ("frames", "config", "high_water")
+    __slots__ = ("spine", "config", "high_water")
 
     def __init__(self, enabled=True):
-        self.frames = []
+        self.spine = None
         self.config = TraceConfig(enabled=enabled)
         self.high_water = 0
 
-    def push_frame(self, frame):
-        if not self.config.enabled:
-            return
-        self.frames.append(frame)
-        if len(self.frames) > self.high_water:
-            self.high_water = len(self.frames)
-
-    def pop_frame(self):
-        if self.frames:
-            self.frames.pop()
-
-    def truncate(self, depth):
-        if len(self.frames) > depth:
-            del self.frames[depth:]
-
     def snapshot(self):
-        return tuple(self.frames)
+        """The current spine; nodes are never mutated, so no copy is made."""
+        return self.spine
 
-    def restore(self, snap):
-        self.frames[:] = snap
+    def restore(self, spine):
+        self.spine = spine
 
     def clear(self):
-        self.frames.clear()
+        self.spine = None
 
-    def __len__(self):
-        return len(self.frames)
+    @property
+    def frames(self):
+        """Pending frames (label, args, line, col, source), oldest first."""
+        frames = []
+        node = self.spine
+        while node is not None:
+            frames.append(node[:5])
+            node = node[5]
+        frames.reverse()
+        return tuple(frames)
 
 
 def truncate_text(text, limit=ARG_TEXT_LIMIT):

@@ -116,17 +116,19 @@ class Cont:
     """A resume point plus its saved register values.
 
     Continuations are immutable, first-class, and may be applied any number
-    of times.  `depth` records the trace-stack height at construction time;
-    delivering a value to the continuation truncates the trace stack back to
-    that height, which is what pops application frames.
+    of times.  `spine` is the trace frame spine (see `trace`) that was
+    current when the continuation was made; delivering a value to the
+    continuation makes it current again, which pops the frames of the
+    applications that have returned and restores the frames of a re-entered
+    continuation.
     """
 
-    __slots__ = ("label", "fields", "depth")
+    __slots__ = ("label", "fields", "spine")
 
-    def __init__(self, label, fields, depth):
+    def __init__(self, label, fields, spine):
         self.label = label
         self.fields = fields
-        self.depth = depth
+        self.spine = spine
 
 
 class ChoicePoint:
@@ -134,25 +136,22 @@ class ChoicePoint:
     to resume there (environment, continuation, trace spine, parent point).
     """
 
-    __slots__ = ("alternatives", "env", "k", "parent", "trace")
+    __slots__ = ("alternatives", "env", "k", "parent", "spine")
 
-    def __init__(self, alternatives, env, k, parent, trace):
+    def __init__(self, alternatives, env, k, parent, spine):
         self.alternatives = alternatives
         self.env = env
         self.k = k
         self.parent = parent
-        self.trace = trace
-
-
-_MISSING = object()
+        self.spine = spine
 
 
 class Environment(dict):
     """One frame of symbol->value bindings, chained to a parent frame.
 
     The frame IS the dict (symbol keys hash by identity thanks to
-    interning); lookup searches innermost-out, `set` mutates the nearest
-    binding, `define` binds in this frame.
+    interning); the machine looks variables up innermost-out, `set` mutates
+    the nearest binding, `define` binds in this frame.
     """
 
     __slots__ = ("parent",)
@@ -160,15 +159,6 @@ class Environment(dict):
     # dict.__new__ already set up storage; skip dict.__init__ on purpose
     def __init__(self, parent=None):  # pylint: disable=super-init-not-called
         self.parent = parent
-
-    def lookup(self, sym):
-        env = self
-        while env is not None:
-            value = env.get(sym, _MISSING)
-            if value is not _MISSING:
-                return value
-            env = env.parent
-        raise EvalError("UnboundVariable", sym.name)
 
     def define(self, sym, value):
         self[sym] = value
@@ -209,18 +199,6 @@ def to_pylist(value, who="list"):
     if value is not NIL:
         raise EvalError(who, "expected a proper list")
     return out
-
-
-def list_length(value):
-    n = 0
-    while isinstance(value, Pair):
-        n += 1
-        value = value.cdr
-    return n if value is NIL else None
-
-
-def is_truthy(value):
-    return value is not False
 
 
 def eqv(x, y):

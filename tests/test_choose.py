@@ -8,6 +8,7 @@ from helpers import (
 )
 
 from ambit import write_value
+from ambit.errors import EvalError
 from ambit.machine import NO_MORE_CHOICES
 from ambit.values import TERMINAL_FAIL
 
@@ -121,6 +122,37 @@ def test_trace_stack_restored_across_backtracking(machine):
     ev(machine, program)
     assert ev(machine, "(picky)") == 2
     assert len(machine.trace.frames) == 0
+
+
+DEEP_BRANCH_PROGRAM = """
+(define descend
+  (lambda (m) (if (= m 0) (require #f) (+ 1 (descend (- m 1))))))
+(define pick (lambda (m) (choose (descend m) (car 'boom))))
+(define wrap
+  (lambda (n m) (if (= n 0) (pick m) (+ 1 (wrap (- n 1) m)))))
+"""
+
+
+@pytest.mark.parametrize("stack_trace", [True, False])
+def test_error_after_deeper_failed_branch_reports_choice_point_frames(
+        machine, stack_trace):
+    n, m = 30, 50
+    ev(machine, DEEP_BRANCH_PROGRAM)
+    if not stack_trace:
+        ev(machine, "(use-stack-trace #f)")
+    machine.trace.high_water = 0
+    with pytest.raises(EvalError) as excinfo:
+        ev(machine, f"(wrap {n} {m})")
+    frames = excinfo.value.frames
+    if not stack_trace:
+        assert frames == ()
+        assert machine.trace.high_water == 0
+        return
+    # the N pending wrap calls, then pick, which replaced (wrap 0) by a
+    # tail call; none of the descend frames of the failed branch
+    assert [f[0] for f in frames] == ["wrap"] * n + ["pick"]
+    assert [f[1][0] for f in frames[:n]] == list(range(n, 0, -1))
+    assert n + m <= machine.trace.high_water <= n + m + 2
 
 
 def test_map_coloring_matches_brute_force_oracle(machine):

@@ -4,7 +4,7 @@ from helpers import BUGGY_FACT, EVEN_ODD_PROGRAM
 
 from ambit import Machine, read_all
 from ambit.errors import EvalError, SchemeError
-from ambit.trace import TraceFrame, TraceStack, render_traceback, truncate_text
+from ambit.trace import frame_call_text, render_traceback, truncate_text
 
 
 def run_buggy_fact(machine, call="(fact 3)"):
@@ -70,22 +70,8 @@ def test_zero_cost_when_disabled(quiet_machine):
     assert len(quiet_machine.trace.frames) == 0
 
 
-def test_push_pop_api():
-    stack = TraceStack(enabled=True)
-    frame = TraceFrame("f", (1,), 1, 1, "<test>")
-    stack.push_frame(frame)
-    assert len(stack) == 1
-    stack.pop_frame()
-    assert len(stack) == 0
-    stack.pop_frame()
-    assert len(stack) == 0
-    stack.config.enabled = False
-    stack.push_frame(frame)
-    assert len(stack) == 0
-
-
 def test_render_traceback_with_location():
-    frames = [TraceFrame("fact", (3,), 2, 1, "<stdin>")]
+    frames = [("fact", (3,), 2, 1, "<stdin>")]
     err = EvalError("UnboundVariable", "q")
     text = render_traceback(frames, err)
     assert text == ("Traceback (most recent call last):\n"
@@ -99,14 +85,14 @@ def test_render_traceback_without_frames():
 
 
 def test_render_traceback_without_location():
-    frames = [TraceFrame("f", ())]
+    frames = [("f", (), None, None, None)]
     err = EvalError("E", "m")
     assert render_traceback(frames, err) == (
         "Traceback (most recent call last):\n  In (f)\nE: m")
 
 
 def test_render_traceback_truncates_to_max_frames():
-    frames = [TraceFrame("f", (i,), 1, 1, "<x>") for i in range(10_000)]
+    frames = [("f", (i,), 1, 1, "<x>") for i in range(10_000)]
     err = EvalError("E", "boom")
     text = render_traceback(frames, err, max_frames=40)
     lines = text.split("\n")
@@ -121,10 +107,12 @@ def test_argument_rendering_truncates_to_60_chars(machine):
     with pytest.raises(EvalError) as excinfo:
         machine.eval_source("(f '(aaaaaaaaaa bbbbbbbbbb cccccccccc "
                             "dddddddddd eeeeeeeeee ffffffffff))")
-    frame = TraceFrame(*excinfo.value.frames[-1])
-    rendered = frame.args[0]
+    frame = excinfo.value.frames[-1]
+    call = frame_call_text(frame)
+    assert call.startswith("(f (aaaaaaaaaa ") and call.endswith("...)")
+    rendered = call[len("(f "):-1]
     assert len(rendered) == 60
-    assert rendered.endswith("...")
+    assert f"in {call}" in render_traceback([frame], excinfo.value)
 
 
 def test_truncate_text_helper():
@@ -167,3 +155,23 @@ def test_error_inside_map_includes_map_frame(machine):
         machine.eval_source("(map (lambda (x) (car x)) '(1 2))")
     labels = [f[0] for f in excinfo.value.frames]
     assert "map" in labels
+
+
+CALLCC_REENTRY_PROGRAM = """
+(define saved #f)
+(define inner (lambda (x) (+ (call/cc (lambda (k) (set! saved k) 1)) x)))
+(define outer (lambda (x) (+ 0 (inner x))))
+(define h (lambda (v) (+ 0 (saved v))))
+(define g (lambda (v) (+ 0 (h v))))
+"""
+
+
+def test_reentered_continuation_reports_frames_where_it_was_captured(machine):
+    machine.eval_source(CALLCC_REENTRY_PROGRAM)
+    assert machine.eval_source("(outer 1)") == 2
+    with pytest.raises(EvalError) as excinfo:
+        machine.eval_source("(g 'oops)")
+    err = excinfo.value
+    assert err.error_line() == "+: expected a number, got oops"
+    assert [(f[0], f[1]) for f in err.frames] == [("outer", (1,)),
+                                                  ("inner", (1,))]
