@@ -11,7 +11,7 @@ import sys
 
 from .errors import LexError, ParseError, SchemeError
 from .machine import Machine
-from .reader import read_all
+from .reader import EntryReader, read_all
 from .trace import render_traceback
 from .values import VOID
 from .writer import write_value
@@ -75,8 +75,7 @@ def _print_result(value, out):
 
 
 def _report_error(err, machine, errout):
-    frames = err.frames if err.frames is not None else ()
-    errout.write(render_traceback(frames, err,
+    errout.write(render_traceback(None, err,
                                   machine.trace.config.max_frames) + "\n")
     errout.flush()
 
@@ -84,36 +83,33 @@ def _report_error(err, machine, errout):
 def repl_loop(machine, stdin=None, stdout=None, stderr=None, prompt=PROMPT):
     """Read balanced datums (multi-line aware), evaluate, print, repeat.
 
-    Errors print a traceback and the loop continues; EOF ends the session.
+    Each line is lexed and parsed once, as it arrives; the datums of an
+    entry are evaluated when its last line closes them all.  Errors print a
+    traceback and the loop continues; EOF ends the session.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    pending = ""
+    entry = EntryReader()
     while True:
-        stderr.write(prompt if not pending else CONT_PROMPT)
+        stderr.write(prompt if not entry.lines else CONT_PROMPT)
         stderr.flush()
         line = stdin.readline()
         if line == "":
-            if pending.strip():
+            if entry.lines:
+                # report why the unfinished entry cannot be read
                 try:
-                    read_all(pending)
+                    read_all("".join(entry.lines))
                 except SchemeError as err:
                     _report_error(err, machine, stderr)
             break
-        pending += line
-        if not pending.strip():
-            pending = ""
-            continue
         try:
-            datums = read_all(pending)
+            datums = entry.feed_line(line)
         except (LexError, ParseError) as err:
-            if err.unexpected_eof:
-                continue
             _report_error(err, machine, stderr)
-            pending = ""
             continue
-        pending = ""
+        if datums is None:
+            continue
         for datum in datums:
             try:
                 value = machine.eval_top(datum, "<stdin>")

@@ -5,8 +5,9 @@ class SchemeError(Exception):
     """Base class for every error surfaced to Scheme code or the CLI.
 
     `label` is the prefix of the rendered error line (e.g. "UnboundVariable"
-    or the name of the primitive that failed).  `frames` is filled in by the
-    machine when the error escapes a running trampoline.
+    or the name of the primitive that failed).  When the error escapes a
+    running trampoline the machine keeps the trace spine that was current in
+    `spine` (see `trace`); nothing is copied then.
     """
 
     def __init__(self, label, message, line=None, col=None):
@@ -15,7 +16,20 @@ class SchemeError(Exception):
         self.message = message
         self.line = line
         self.col = col
-        self.frames = None
+        self.spine = None
+        self._frames = None
+
+    @property
+    def frames(self):
+        """Frames pending when the error escaped, oldest first, built from
+        `spine` on first access."""
+        if self._frames is None:
+            # imported here: trace imports the writer, which imports values,
+            # which imports this module
+            from .trace import spine_frames
+
+            self._frames = spine_frames(self.spine)
+        return self._frames
 
     def error_line(self):
         return f"{self.label}: {self.message}"

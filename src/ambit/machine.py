@@ -79,8 +79,7 @@ class Machine:
                 pc(self)
                 pc = self.pc
         except SchemeError as err:
-            if err.frames is None:
-                err.frames = self.trace.frames
+            err.spine = self.trace.spine
             self.pc = None
             raise
         return self.final_reg
@@ -91,15 +90,17 @@ class Machine:
         The fail register persists across calls, so a bare `(choose)` at the
         top level re-enters the previous computation.  On error the global
         environment survives, the fail chain is restored to its state before
-        this form, and the trace stack is cleared.
+        this form, and the trace stack is cleared.  Any other exception the
+        host raises on the way (say, RecursionError on a deeply nested form)
+        leaves the same state and surfaces as an InternalError.
         """
         form = datum.value if isinstance(datum, SourceDatum) else datum
-        if isinstance(form, Pair) and form.car is _S_DEFINE_SYNTAX:
-            name, clauses = syntax.parse_define_syntax(form)
-            syntax.define_macro(self.macros, name, clauses)
-            return VOID
         saved_fail = self.fail_reg
         try:
+            if isinstance(form, Pair) and form.car is _S_DEFINE_SYNTAX:
+                name, clauses = syntax.parse_define_syntax(form)
+                syntax.define_macro(self.macros, name, clauses)
+                return VOID
             expanded = syntax.expand(form, self.macros)
             core = parse_core(expanded, source)
             self.env_reg = self.globals
@@ -107,11 +108,14 @@ class Machine:
             self.exp_reg = core
             self.pc = step_eval
             return self.trampoline()
-        except SchemeError:
+        except Exception as err:
             self.fail_reg = saved_fail
             self.trace.clear()
             self.pc = None
-            raise
+            if isinstance(err, SchemeError):
+                raise
+            raise EvalError("InternalError",
+                            f"{type(err).__name__}: {err}") from err
 
     def eval_source(self, text, source="<input>"):
         """Evaluate every form in `text`; returns the last value (or void)."""

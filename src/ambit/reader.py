@@ -3,12 +3,22 @@
 The reader accepts both `(...)` and `[...]` (a bracket must close the kind
 that opened it), quote shorthands, dotted pairs, `#(...)` vectors, `#t`/`#f`,
 64-bit integers, and floating-point reals.  `;` comments run to end of line.
+
+`tokenize` lexes text whose first line may have any number.  One `Parser`
+turns tokens into datums: open lists, vectors and quote prefixes wait on an
+explicit stack, so reading never recurses on the host however deep the
+input nests, and the parser can be fed tokens in pieces, handing back each
+datum as it completes.  `read_all` and `read_datum` feed it a whole token
+list.  `EntryReader` feeds it one REPL line at a time, so an entry of n
+lines is lexed and parsed once rather than n times; only a string literal
+that runs past the end of a line makes that line be lexed again with the
+next one.
 """
 
 import re
 
 from .errors import LexError, ParseError
-from .values import INT64_MAX, INT64_MIN, NIL, SourcePair, intern
+from .values import INT64_MAX, INT64_MIN, NIL, Pair, SourcePair, intern
 
 LPAREN = "lparen"
 RPAREN = "rparen"
@@ -59,12 +69,12 @@ _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _REAL_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?\Z")
 
 
-def tokenize(text):
-    """Lex `text` into a token list terminated by an `eof` token."""
+def tokenize(text, line=1):
+    """Lex `text`, whose first line is numbered `line`, into a token list
+    terminated by an `eof` token."""
     tokens = []
     i = 0
     n = len(text)
-    line = 1
     col = 1
     while i < n:
         ch = text[i]
@@ -207,122 +217,235 @@ def _lex_atom(text, i, line, col):
         if _REAL_RE.match(lexeme):
             return Token(REAL, lexeme, line, col, float(lexeme)), j, col + width
         raise LexError(f"malformed number '{lexeme}'", line, col)
-    return Token(SYMBOL, lexeme, line, col), j, col + width
+    return Token(SYMBOL, lexeme, line, col, intern(lexeme)), j, col + width
 
 
 _QUOTE_NAMES = {
-    QUOTE: "quote",
-    QUASIQUOTE: "quasiquote",
-    UNQUOTE: "unquote",
-    UNQUOTE_SPLICING: "unquote-splicing",
+    QUOTE: intern("quote"),
+    QUASIQUOTE: intern("quasiquote"),
+    UNQUOTE: intern("unquote"),
+    UNQUOTE_SPLICING: intern("unquote-splicing"),
 }
 
 _MATCHING_CLOSER = {LPAREN: RPAREN, LBRACKET: RBRACKET}
-_CLOSERS = frozenset((RPAREN, RBRACKET))
+_ATOMS = frozenset((SYMBOL, INTEGER, REAL, STRING, BOOLEAN))
+
+# What an open construct on the parser's stack waits for.  A list frame is
+# [state, open token, anchor, last pair, closer kind]: its pairs hang off
+# the cdr of a throwaway anchor pair and grow at `last`.  A vector frame is
+# [_VECTOR, open token, values] and a quote frame is
+# [_QUOTE, quote token, quote symbol].
+_ITEMS = "items"          # list elements, '.', or the closer
+_AFTER_DOT = "after-dot"  # the tail datum after '.'
+_TAIL = "tail"            # only the closer, the tail having been read
+_VECTOR = "vector"        # vector elements or ')'
+_QUOTE = "quoted"         # the one datum a quote prefix applies to
+
+
+def _not_closed_after_tail(tok):
+    return ParseError("expected a single datum after '.'", tok.line, tok.col)
+
+
+class Parser:
+    """Turns tokens into datums, fed in as many pieces as the caller likes.
+
+    Open lists, vectors and quote prefixes live on `stack`, innermost last,
+    so nesting costs heap rather than host stack, and a datum may span any
+    number of `feed` calls.
+    """
+
+    __slots__ = ("stack",)
+
+    def __init__(self):
+        self.stack = []
+
+    @property
+    def idle(self):
+        """True between datums, when nothing is open."""
+        return not self.stack
+
+    def feed(self, tokens, pos=0, limit=-1):
+        """Parse `tokens` from `pos` until their `eof` token, or until
+        `limit` datums are complete; returns (datums, pos).
+
+        Raises ParseError at the first token that cannot continue what was
+        read before it.  Running out of tokens is not an error here: a
+        datum left open waits for the next call (see `eof_error`).
+        """
+        stack = self.stack
+        out = []
+        while True:
+            tok = tokens[pos]
+            kind = tok.kind
+            pos += 1
+            if kind in _ATOMS:
+                value = tok.value
+            elif kind is LPAREN or kind is LBRACKET:
+                if stack and stack[-1][0] is _TAIL:
+                    raise _not_closed_after_tail(tok)
+                anchor = Pair(None, NIL)
+                stack.append([_ITEMS, tok, anchor, anchor,
+                              _MATCHING_CLOSER[kind]])
+                continue
+            elif kind is RPAREN or kind is RBRACKET:
+                top = stack[-1] if stack else None
+                state = top[0] if stack else None
+                if state is _ITEMS or state is _TAIL:
+                    opener = top[1]
+                    if kind is not top[4]:
+                        if state is _TAIL:
+                            raise _not_closed_after_tail(tok)
+                        raise ParseError(
+                            f"mismatched delimiter: '{opener.text}' closed "
+                            f"by '{tok.text}'", tok.line, tok.col)
+                    stack.pop()
+                    value = top[2].cdr
+                    if value is not NIL:
+                        # The head pair carries the open delimiter's position.
+                        value.loc = (opener.line, opener.col)
+                elif state is _VECTOR:
+                    if kind is RBRACKET:
+                        raise ParseError("unexpected ']' in vector",
+                                         tok.line, tok.col)
+                    stack.pop()
+                    value = top[2]
+                else:
+                    raise ParseError(f"unexpected '{tok.text}'",
+                                     tok.line, tok.col)
+                tok = top[1]
+            elif kind is EOF:
+                pos -= 1
+                break
+            elif kind is DOT:
+                top = stack[-1] if stack else None
+                state = top[0] if stack else None
+                if state is _ITEMS:
+                    if top[3] is top[2]:
+                        raise ParseError("'.' at start of list",
+                                         tok.line, tok.col)
+                    top[0] = _AFTER_DOT
+                    continue
+                if state is _VECTOR:
+                    raise ParseError("unexpected '.' in vector",
+                                     tok.line, tok.col)
+                if state is _TAIL:
+                    raise _not_closed_after_tail(tok)
+                raise ParseError("'.' is not the start of a datum",
+                                 tok.line, tok.col)
+            else:
+                if stack and stack[-1][0] is _TAIL:
+                    raise _not_closed_after_tail(tok)
+                if kind is VECTOR_OPEN:
+                    stack.append([_VECTOR, tok, []])
+                else:
+                    stack.append([_QUOTE, tok, _QUOTE_NAMES[kind]])
+                continue
+            # `value` is complete and starts at `tok`: hand it to the
+            # innermost open construct, closing every quote it completes.
+            line, col = tok.line, tok.col
+            while stack:
+                top = stack[-1]
+                state = top[0]
+                if state is _ITEMS:
+                    pair = SourcePair(value, NIL, (line, col))
+                    top[3].cdr = pair
+                    top[3] = pair
+                    break
+                if state is _QUOTE:
+                    stack.pop()
+                    quote = top[1]
+                    value = SourcePair(top[2],
+                                       SourcePair(value, NIL, (line, col)),
+                                       (quote.line, quote.col))
+                    line, col = quote.line, quote.col
+                    continue
+                if state is _VECTOR:
+                    top[2].append(value)
+                    break
+                if state is _AFTER_DOT:
+                    top[3].cdr = value
+                    top[0] = _TAIL
+                    break
+                raise _not_closed_after_tail(tok)
+            else:
+                out.append(SourceDatum(value, line, col))
+                if len(out) == limit:
+                    break
+        return out, pos
+
+    def eof_error(self, eof):
+        """The error for input that ends at token `eof` before a datum."""
+        top = self.stack[-1] if self.stack else None
+        if top is None or top[0] is _QUOTE or top[0] is _AFTER_DOT:
+            return ParseError("unexpected end of input", eof.line, eof.col,
+                              unexpected_eof=True)
+        opener = top[1]
+        return ParseError(f"unclosed '{opener.text}'", opener.line,
+                          opener.col, unexpected_eof=True)
 
 
 def read_datum(tokens, pos=0):
     """Parse exactly one datum starting at `pos`; returns (SourceDatum, pos)."""
-    value, dline, dcol, pos = _read(tokens, pos)
-    return SourceDatum(value, dline, dcol), pos
+    parser = Parser()
+    datums, pos = parser.feed(tokens, pos, 1)
+    if not datums:
+        raise parser.eof_error(tokens[pos])
+    return datums[0], pos
 
 
 def read_all(text):
     """Parse every datum in `text`; empty input yields an empty list."""
     tokens = tokenize(text)
-    out = []
-    pos = 0
-    while tokens[pos].kind is not EOF:
-        datum, pos = read_datum(tokens, pos)
-        out.append(datum)
-    return out
+    parser = Parser()
+    datums, pos = parser.feed(tokens)
+    if not parser.idle:
+        raise parser.eof_error(tokens[pos])
+    return datums
 
 
-def _read(tokens, pos):
-    tok = tokens[pos]
-    kind = tok.kind
-    if kind in (INTEGER, REAL, STRING, BOOLEAN):
-        return tok.value, tok.line, tok.col, pos + 1
-    if kind is SYMBOL:
-        return intern(tok.text), tok.line, tok.col, pos + 1
-    if kind in (LPAREN, LBRACKET):
-        return _read_list(tokens, pos)
-    name = _QUOTE_NAMES.get(kind)
-    if name is not None:
-        inner, iline, icol, pos = _read(tokens, pos + 1)
-        tail = SourcePair(inner, NIL, (iline, icol))
-        return (SourcePair(intern(name), tail, (tok.line, tok.col)),
-                tok.line, tok.col, pos)
-    if kind is VECTOR_OPEN:
-        return _read_vector(tokens, pos)
-    if kind is EOF:
-        raise ParseError("unexpected end of input", tok.line, tok.col,
-                         unexpected_eof=True)
-    if kind in _CLOSERS:
-        raise ParseError(f"unexpected '{tok.text}'", tok.line, tok.col)
-    raise ParseError(f"'{tok.text}' is not the start of a datum",
-                     tok.line, tok.col)
+class EntryReader:
+    """Reads one entry of an interactive session a line at a time.
 
+    Each line is lexed once, numbered by its place in the entry, and its
+    tokens go to one `Parser`.  A line that ends inside a string literal is
+    kept and lexed again together with the next line.  The entry is complete
+    at the end of a line that leaves the parser idle.  Line by line, the
+    outcome is that of `read_all` on the entry's text so far: the same
+    datums and locations once complete, the same error when more input
+    could not mend it, and no result while it could.
+    """
 
-def _read_list(tokens, pos):
-    open_tok = tokens[pos]
-    closer = _MATCHING_CLOSER[open_tok.kind]
-    pos += 1
-    items = []
-    tail = NIL
-    while True:
-        tok = tokens[pos]
-        kind = tok.kind
-        if kind is EOF:
-            raise ParseError(f"unclosed '{open_tok.text}'",
-                             open_tok.line, open_tok.col, unexpected_eof=True)
-        if kind in _CLOSERS:
-            if kind is not closer:
-                raise ParseError(
-                    f"mismatched delimiter: '{open_tok.text}' closed by "
-                    f"'{tok.text}'", tok.line, tok.col)
-            pos += 1
-            break
-        if kind is DOT:
-            if not items:
-                raise ParseError("'.' at start of list", tok.line, tok.col)
-            tail, _, _, pos = _read(tokens, pos + 1)
-            tok = tokens[pos]
-            if tok.kind is EOF:
-                raise ParseError(f"unclosed '{open_tok.text}'",
-                                 open_tok.line, open_tok.col,
-                                 unexpected_eof=True)
-            if tok.kind is not closer:
-                raise ParseError("expected a single datum after '.'",
-                                 tok.line, tok.col)
-            pos += 1
-            break
-        value, vline, vcol, pos = _read(tokens, pos)
-        items.append((value, vline, vcol))
-    result = tail
-    for value, vline, vcol in reversed(items):
-        result = SourcePair(value, result, (vline, vcol))
-    if items:
-        # The head pair of the list carries the open delimiter's position.
-        result.loc = (open_tok.line, open_tok.col)
-    return result, open_tok.line, open_tok.col, pos
+    __slots__ = ("lines", "unlexed", "parser", "datums")
 
+    def __init__(self):
+        self._start()
 
-def _read_vector(tokens, pos):
-    open_tok = tokens[pos]
-    pos += 1
-    items = []
-    while True:
-        tok = tokens[pos]
-        if tok.kind is EOF:
-            raise ParseError("unclosed '#('", open_tok.line, open_tok.col,
-                             unexpected_eof=True)
-        if tok.kind is RPAREN:
-            pos += 1
-            break
-        if tok.kind in (RBRACKET, DOT):
-            raise ParseError(f"unexpected '{tok.text}' in vector",
-                             tok.line, tok.col)
-        value, _, _, pos = _read(tokens, pos)
-        items.append(value)
-    return items, open_tok.line, open_tok.col, pos
+    def _start(self):
+        self.lines = []      # the entry's text, one str per line
+        self.unlexed = 0     # index in `lines` of the first line not lexed
+        self.parser = Parser()
+        self.datums = []     # datums read, held until the entry is complete
+
+    def feed_line(self, line):
+        """Add `line`; returns the entry's datums once it is complete and
+        None while it is not.  A LexError or ParseError that more input
+        could not mend is raised, and the entry starts over."""
+        lines = self.lines
+        lines.append(line)
+        start = self.unlexed
+        try:
+            tokens = tokenize("".join(lines[start:]), start + 1)
+            self.unlexed = len(lines)
+            datums, _ = self.parser.feed(tokens)
+        except (LexError, ParseError) as err:
+            if err.unexpected_eof:
+                # a string literal runs on past this line
+                return None
+            self._start()
+            raise
+        self.datums += datums
+        if not self.parser.idle:
+            return None
+        datums = self.datums
+        self._start()
+        return datums

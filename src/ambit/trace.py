@@ -57,13 +57,18 @@ class TraceStack:
     @property
     def frames(self):
         """Pending frames (label, args, line, col, source), oldest first."""
-        frames = []
-        node = self.spine
-        while node is not None:
-            frames.append(node[:5])
-            node = node[5]
-        frames.reverse()
-        return tuple(frames)
+        return spine_frames(self.spine)
+
+
+def spine_frames(node, limit=None):
+    """The frames of `node` and every node below it, oldest first; only the
+    newest `limit` of them when a limit is given."""
+    frames = []
+    while node is not None and len(frames) != limit:
+        frames.append(node[:5])
+        node = node[5]
+    frames.reverse()
+    return tuple(frames)
 
 
 def truncate_text(text, limit=ARG_TEXT_LIMIT):
@@ -73,14 +78,27 @@ def truncate_text(text, limit=ARG_TEXT_LIMIT):
 
 
 def render_traceback(frames, error, max_frames=DEFAULT_MAX_FRAMES):
-    """Render pending frames (most recent call last) plus the error line."""
+    """Render pending frames (most recent call last) plus the error line.
+
+    `frames` is a sequence of frames, oldest first, or None for the frames
+    of the error itself.  Then only the newest `max_frames` nodes of the
+    error's spine are walked, and the top node's depth says how many more
+    there are.
+    """
     lines = []
-    frames = tuple(frames)
+    if frames is None:
+        spine = error.spine
+        total = spine[6] if spine is not None else 0
+        frames = spine_frames(spine, max_frames)
+    else:
+        frames = tuple(frames)
+        total = len(frames)
+        if total > max_frames:
+            frames = frames[-max_frames:]
     if frames:
         lines.append("Traceback (most recent call last):")
-        if len(frames) > max_frames:
-            lines.append(f"  [{len(frames) - max_frames} frames elided]")
-            frames = frames[-max_frames:]
+        if total > len(frames):
+            lines.append(f"  [{total - len(frames)} frames elided]")
         for frame in frames:
             call = frame_call_text(frame)
             line, col, source = frame[2], frame[3], frame[4]

@@ -51,7 +51,8 @@ class SourcePair(Pair):
     __slots__ = ("loc",)
 
     def __init__(self, car, cdr, loc=None):
-        super().__init__(car, cdr)
+        self.car = car
+        self.cdr = cdr
         self.loc = loc
 
 
@@ -218,19 +219,45 @@ eq = eqv
 
 
 def equal(x, y):
+    """`equal?`: pairs and vectors by structure, numbers by `eqv?`, strings
+    by text, everything else by identity.
+
+    Comparisons still to be made wait on an explicit list, so nesting never
+    grows the host stack.  The list is made only when two cars are both
+    pairs or both vectors; comparing atoms allocates nothing.
+    """
+    todo = None
     while True:
-        if x is y:
-            return True
-        if isinstance(x, Pair):
-            if not isinstance(y, Pair) or not equal(x.car, y.car):
+        if x is not y:
+            if isinstance(x, Pair):
+                if not isinstance(y, Pair):
+                    return False
+                a, b = x.car, y.car
+                x, y = x.cdr, y.cdr
+                if a is not b:
+                    ta = type(a)
+                    if ta is int or ta is float or ta is str:
+                        if type(b) is not ta or a != b:
+                            return False
+                    elif (isinstance(a, Pair) and isinstance(b, Pair)
+                          or ta is list and type(b) is list):
+                        if todo is None:
+                            todo = []
+                        todo.append((x, y))
+                        x, y = a, b
+                    else:
+                        return False
+                continue
+            tx = type(x)
+            if tx is list:
+                if type(y) is not list or len(x) != len(y):
+                    return False
+                if todo is None:
+                    todo = []
+                todo.extend(zip(reversed(x), reversed(y)))
+            elif not ((tx is int or tx is float or tx is str)
+                      and type(y) is tx and x == y):
                 return False
-            x, y = x.cdr, y.cdr
-            continue
-        tx = type(x)
-        if tx is not type(y):
-            return False
-        if tx is int or tx is float or tx is str:
-            return x == y
-        if tx is list:
-            return len(x) == len(y) and all(equal(a, b) for a, b in zip(x, y))
-        return False
+        if not todo:
+            return True
+        x, y = todo.pop()

@@ -5,6 +5,7 @@ and the choose-tree enumerator are plain Python, so they can vouch for the
 machine's backtracking order.
 """
 
+import threading
 from itertools import product
 
 from ambit import write_value
@@ -269,3 +270,26 @@ def gen_bool_tree(rng, depth):
     width = rng.randint(1, 4)
     children = " ".join(gen_bool_tree(rng, depth - 1) for _ in range(width))
     return f"({op} {children})"
+
+
+def run_on_small_stack(fn, size=512 * 1024):
+    """Call fn() on a thread whose stack is `size` bytes; returns its result
+    and re-raises whatever it raised."""
+    result = {}
+
+    def work():
+        try:
+            result["value"] = fn()
+        except BaseException as err:  # handed to the calling thread
+            result["error"] = err
+
+    old = threading.stack_size(size)
+    try:
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(old)
+    if "error" in result:
+        raise result["error"]
+    return result["value"]

@@ -180,3 +180,24 @@ def test_version_flag(capsys):
         parse_args(["--version"])
     assert excinfo.value.code == 0
     assert "ambit" in capsys.readouterr().out
+
+
+def test_repl_string_literal_spanning_lines():
+    code, out, err = run_repl('(string-length "a (\n; b")\n(+ 1 1)\n')
+    assert out == "7\n2\n"
+    assert err == "==> ... ==> ==> "
+
+
+def test_repl_reports_a_bad_line_at_once_and_goes_on():
+    code, out, err = run_repl("(a . b c\n(+ 1 2)\n")
+    assert out == "3\n"
+    assert err == ("==> ParseError: expected a single datum after '.'\n"
+                   "==> ==> ")
+
+
+def test_repl_survives_a_host_recursion_error():
+    deep = "(+ " * 3000 + "1" + ")" * 3000
+    code, out, err = run_repl(deep + "\n(+ 1 2)\n")
+    assert code == 0
+    assert out == "3\n"
+    assert "InternalError: RecursionError" in err

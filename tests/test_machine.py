@@ -5,7 +5,7 @@ import pytest
 from helpers import EVEN_ODD_PROGRAM, SUM_PROGRAM
 
 from ambit import Machine, VOID, equal, read_all, write_value
-from ambit.errors import EvalError, FormError
+from ambit.errors import EvalError, FormError, SchemeError
 
 
 def ev(machine, text):
@@ -348,3 +348,17 @@ def test_fail_chain_holds_remaining_alternatives(machine):
     assert isinstance(point, ChoicePoint)
     assert len(point.alternatives) == 2
     assert [form.value for form in point.alternatives] == [2, 3]
+
+
+def test_host_exception_becomes_internal_error_with_state_restored(machine):
+    machine.eval_source("(define f (lambda () (choose 1 2)))")
+    assert machine.eval_source("(f)") == 1
+    fail_chain = machine.fail_reg
+    deep = "(+ " * 3000 + "1" + ")" * 3000
+    with pytest.raises(SchemeError) as excinfo:
+        machine.eval_source(deep)
+    assert excinfo.value.label == "InternalError"
+    assert isinstance(excinfo.value.__cause__, RecursionError)
+    assert machine.fail_reg is fail_chain
+    assert machine.trace.spine is None
+    assert machine.eval_source("(choose)") == 2

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from helpers import run_on_small_stack
+
 from ambit import Machine, VOID, write_value
 from ambit.errors import EvalError
 
@@ -356,3 +358,14 @@ def test_failed_primitive_leaves_machine_usable():
         assert len(machine.trace.frames) == 0
     assert machine.fail_reg is before_fail
     assert machine.eval_source("(+ x 1)") == 2
+
+
+def test_equal_on_deeply_car_nested_lists_on_small_stack():
+    def work():
+        m = Machine(stdout=io.StringIO(), stack_trace=False)
+        m.eval_source("(define nest (lambda (n acc) "
+                      "(if (= n 0) acc (nest (- n 1) (cons acc '())))))")
+        return (m.eval_source("(equal? (nest 100000 '(x)) (nest 100000 '(x)))"),
+                m.eval_source("(equal? (nest 100000 '(x)) (nest 100000 '(y)))"))
+
+    assert run_on_small_stack(work) == (True, False)

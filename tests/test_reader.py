@@ -1,8 +1,10 @@
 import pytest
 
+from helpers import run_on_small_stack
+
 from ambit import NIL, equal, intern, read_all, tokenize
 from ambit.errors import LexError, ParseError
-from ambit.reader import read_datum
+from ambit.reader import EntryReader, Parser, read_datum
 from ambit.values import Pair
 
 
@@ -176,3 +178,101 @@ def test_color_europe_program_parses():
     assert len(datums) == 3
     heads = [d.value.car.name for d in datums]
     assert heads == ["define", "define-syntax", "define"]
+
+
+def test_tokenize_numbers_lines_from_the_given_start():
+    tokens = tokenize("a\n  b", 7)
+    assert [(t.line, t.col) for t in tokens] == [(7, 1), (8, 3), (8, 4)]
+
+
+def test_parser_fed_one_token_at_a_time_matches_one_read():
+    text = "(a [b . c]\n #(1 2) 'd) `(e ,f) \"s\""
+    whole = read_all(text)
+    *tokens, eof = tokenize(text)
+    parser = Parser()
+    got = []
+    for tok in tokens:
+        datums, _ = parser.feed([tok, eof])
+        got.extend(datums)
+    assert parser.idle
+    assert [(d.line, d.col) for d in got] == [(d.line, d.col) for d in whole]
+    assert all(equal(a.value, b.value) for a, b in zip(got, whole))
+    assert len(got) == len(whole) == 3
+
+
+def test_eof_errors_name_the_innermost_open_construct():
+    cases = {
+        "(a [b": ("unclosed '['", 1, 4),
+        "#(1 (2) 3": ("unclosed '#('", 1, 1),
+        "(a . b": ("unclosed '('", 1, 1),
+        "(a .": ("unexpected end of input", 1, 5),
+        "(a '": ("unexpected end of input", 1, 5),
+    }
+    for text, expected in cases.items():
+        with pytest.raises(ParseError) as excinfo:
+            read_all(text)
+        err = excinfo.value
+        assert (err.message, err.line, err.col) == expected, text
+        assert err.unexpected_eof
+
+
+def depth_of(value, step):
+    depth = 0
+    while isinstance(value, Pair):
+        value = step(value)
+        depth += 1
+    return depth
+
+
+def test_deep_quote_reads_on_small_stack():
+    datums = run_on_small_stack(lambda: read_all("'" * 5000 + "x"))
+    value = datums[0].value
+    assert depth_of(value, lambda v: v.cdr.car) == 5000
+
+
+def test_deep_nested_list_reads_on_small_stack():
+    n = 100_000
+    datums = run_on_small_stack(lambda: read_all("(" * n + ")" * n))
+    # n - 1 pairs around the innermost ()
+    assert depth_of(datums[0].value, lambda v: v.car) == n - 1
+
+
+def test_entry_reader_holds_datums_until_the_entry_closes():
+    entry = EntryReader()
+    assert entry.feed_line("1 (a\n") is None
+    datums = entry.feed_line("  b) 2\n")
+    assert [d.value for d in datums][::2] == [1, 2]
+    assert (datums[1].line, datums[1].col) == (1, 3)
+    assert entry.lines == []
+
+
+def test_entry_reader_lexes_a_string_across_lines_together():
+    entry = EntryReader()
+    assert entry.feed_line('(f "a ( ;\n') is None
+    assert entry.feed_line('b" c\n') is None
+    datums = entry.feed_line(")\n")
+    assert datums[0].value.cdr.car == "a ( ;\nb"
+    assert datums[0].value.cdr.cdr.car is intern("c")
+    assert datums[0].value.cdr.cdr.loc == (2, 4)
+
+
+def test_entry_reader_reports_an_error_on_its_line_and_starts_over():
+    entry = EntryReader()
+    assert entry.feed_line("(a\n") is None
+    with pytest.raises(ParseError) as excinfo:
+        entry.feed_line("  b . c d)\n")
+    assert (excinfo.value.line, excinfo.value.col) == (2, 9)
+    assert entry.lines == []
+    assert entry.feed_line("(+ 1 2)\n")[0].value.car is intern("+")
+
+
+def test_pair_locations():
+    value = read_all("(a\n (b c) 'd . e)")[0].value
+    assert value.loc == (1, 1)                  # head pair: the '('
+    assert value.cdr.loc == (2, 2)              # each later pair: its item
+    assert value.cdr.car.loc == (2, 2)
+    assert value.cdr.car.cdr.loc == (2, 5)
+    quoted = value.cdr.cdr.car                  # (quote d)
+    assert (value.cdr.cdr.loc, quoted.loc, quoted.cdr.loc) == (
+        (2, 8), (2, 8), (2, 9))
+    assert value.cdr.cdr.cdr is intern("e")

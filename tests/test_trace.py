@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import BUGGY_FACT, EVEN_ODD_PROGRAM
+from helpers import BUGGY_FACT, EVEN_ODD_PROGRAM, run_on_small_stack
 
 from ambit import Machine, read_all
 from ambit.errors import EvalError, SchemeError
@@ -175,3 +175,23 @@ def test_reentered_continuation_reports_frames_where_it_was_captured(machine):
     assert err.error_line() == "+: expected a number, got oops"
     assert [(f[0], f[1]) for f in err.frames] == [("outer", (1,)),
                                                   ("inner", (1,))]
+
+
+def test_deep_traceback_renders_from_the_spine_without_copying_it(machine):
+    machine.eval_source("(define f (lambda (n) "
+                        "(if (= n 0) (car 0) (+ 1 (f (- n 1))))))")
+
+    def work():
+        with pytest.raises(EvalError) as excinfo:
+            machine.eval_source("(f 100000)")
+        return excinfo.value
+
+    err = run_on_small_stack(work)
+    text = render_traceback(None, err, 40)
+    lines = text.split("\n")
+    assert lines[1] == "  [99961 frames elided]"
+    assert len(lines) == 43
+    assert lines[2].endswith("in (f 39)") and lines[-2].endswith("in (f 0)")
+    assert err._frames is None  # rendering walked 40 nodes, copied none
+    assert len(err.frames) == 100_001
+    assert render_traceback(err.frames, err, 40) == text
