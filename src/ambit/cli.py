@@ -12,7 +12,7 @@ import sys
 from .errors import LexError, ParseError, SchemeError
 from .machine import Machine
 from .reader import EntryReader, read_all
-from .trace import render_traceback
+from .trace import DEFAULT_MAX_FRAMES, render_traceback
 from .values import VOID
 from .writer import write_value
 
@@ -21,15 +21,13 @@ CONT_PROMPT = "... "
 
 
 class CliConfig:
-    __slots__ = ("mode", "path", "expr", "stack_trace", "prompt")
+    __slots__ = ("mode", "path", "expr", "stack_trace")
 
-    def __init__(self, mode, path=None, expr=None, stack_trace=True,
-                 prompt=PROMPT):
+    def __init__(self, mode, path=None, expr=None, stack_trace=True):
         self.mode = mode
         self.path = path
         self.expr = expr
         self.stack_trace = stack_trace
-        self.prompt = prompt
 
 
 def parse_args(argv):
@@ -74,13 +72,12 @@ def _print_result(value, out):
     out.flush()
 
 
-def _report_error(err, machine, errout):
-    errout.write(render_traceback(None, err,
-                                  machine.trace.config.max_frames) + "\n")
+def _report_error(err, errout):
+    errout.write(render_traceback(None, err, DEFAULT_MAX_FRAMES) + "\n")
     errout.flush()
 
 
-def repl_loop(machine, stdin=None, stdout=None, stderr=None, prompt=PROMPT):
+def repl_loop(machine, stdin=None, stdout=None, stderr=None):
     """Read balanced datums (multi-line aware), evaluate, print, repeat.
 
     Each line is lexed and parsed once, as it arrives; the datums of an
@@ -92,7 +89,7 @@ def repl_loop(machine, stdin=None, stdout=None, stderr=None, prompt=PROMPT):
     stderr = stderr if stderr is not None else sys.stderr
     entry = EntryReader()
     while True:
-        stderr.write(prompt if not entry.lines else CONT_PROMPT)
+        stderr.write(PROMPT if not entry.lines else CONT_PROMPT)
         stderr.flush()
         line = stdin.readline()
         if line == "":
@@ -101,12 +98,12 @@ def repl_loop(machine, stdin=None, stdout=None, stderr=None, prompt=PROMPT):
                 try:
                     read_all("".join(entry.lines))
                 except SchemeError as err:
-                    _report_error(err, machine, stderr)
+                    _report_error(err, stderr)
             break
         try:
             datums = entry.feed_line(line)
         except (LexError, ParseError) as err:
-            _report_error(err, machine, stderr)
+            _report_error(err, stderr)
             continue
         if datums is None:
             continue
@@ -114,7 +111,7 @@ def repl_loop(machine, stdin=None, stdout=None, stderr=None, prompt=PROMPT):
             try:
                 value = machine.eval_top(datum, "<stdin>")
             except SchemeError as err:
-                _report_error(err, machine, stderr)
+                _report_error(err, stderr)
                 break
             _print_result(value, stdout)
     return 0
@@ -132,7 +129,7 @@ def run_file(machine, path, stderr=None):
         for datum in read_all(text):
             machine.eval_top(datum, path)
     except SchemeError as err:
-        _report_error(err, machine, stderr)
+        _report_error(err, stderr)
         return 1
     return 0
 
@@ -144,7 +141,7 @@ def eval_string(machine, text, stdout=None, stderr=None):
         for datum in read_all(text):
             _print_result(machine.eval_top(datum, "<string>"), stdout)
     except SchemeError as err:
-        _report_error(err, machine, stderr)
+        _report_error(err, stderr)
         return 1
     return 0
 
@@ -156,7 +153,7 @@ def main(argv=None):
         return run_file(machine, config.path)
     if config.mode == "eval-string":
         return eval_string(machine, config.expr)
-    return repl_loop(machine, prompt=config.prompt)
+    return repl_loop(machine)
 
 
 if __name__ == "__main__":

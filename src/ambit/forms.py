@@ -1,10 +1,20 @@
-"""Core-form AST and validation.
+"""Core-form AST, validation, and variable resolution.
 
 Expanded datums are checked and compiled into small AST nodes before the
 machine sees them, so evaluation never encounters a macro keyword or a
 malformed special form.  `cond` is lowered into if/or/begin here; `and` and
 `or` stay as dedicated nodes so they can deliver the deciding value without
 introducing temporaries.
+
+Every variable is resolved here, once, by lexical addressing (SICP 5.5.6).
+A lambda's frame at run time is a list: slot 0 holds the enclosing frame,
+then come its parameters, then one slot for each name a `define` in its body
+binds (anywhere in the body except inside nested lambdas).  A name bound by
+an enclosing lambda becomes a (depth, index) pair: the frame `depth` links
+out, slot `index`.  Any other name is global and is read by symbol from the
+machine's global table at run time, so later definitions are seen.  The
+addresses are filled in once the whole top-level form is parsed, so a
+reference may precede the body `define` it names.
 """
 
 from .errors import FormError
@@ -20,10 +30,15 @@ class Literal:
 
 
 class VarRef:
-    __slots__ = ("name",)
+    """A variable: slot `index` of the frame `depth` links out, or a global
+    when `index` is None."""
+
+    __slots__ = ("name", "depth", "index")
 
     def __init__(self, name):
         self.name = name
+        self.depth = None
+        self.index = None
 
 
 class QuoteExpr:
@@ -43,32 +58,37 @@ class IfExpr:
 
 
 class DefineExpr:
-    """`define` binds in the current frame; `define!` always targets the
-    global frame."""
+    """`define` in a lambda body binds slot `index` of that lambda's frame;
+    at top level, and for `define!` anywhere, `index` is None and the name
+    is bound in the global table."""
 
-    __slots__ = ("name", "expr", "into_global")
+    __slots__ = ("name", "expr", "index")
 
-    def __init__(self, name, expr, into_global=False):
+    def __init__(self, name, expr, index):
         self.name = name
         self.expr = expr
-        self.into_global = into_global
+        self.index = index
 
 
 class SetExpr:
-    __slots__ = ("name", "expr")
+    __slots__ = ("target", "expr")
 
-    def __init__(self, name, expr):
-        self.name = name
+    def __init__(self, target, expr):
+        self.target = target
         self.expr = expr
 
 
 class LambdaExpr:
-    __slots__ = ("params", "rest", "body")
+    """`defines` counts the slots its body's `define`s add after the
+    parameters."""
 
-    def __init__(self, params, rest, body):
+    __slots__ = ("params", "rest", "body", "defines")
+
+    def __init__(self, params, rest, body, defines):
         self.params = params
         self.rest = rest
         self.body = body
+        self.defines = defines
 
 
 class BeginExpr:
@@ -202,19 +222,54 @@ def _spine(form):
     return items, node
 
 
+class _Scope:
+    """Compile-time frame: each name a lambda binds, mapped to its slot.
+
+    The top-level scope has no slots.  All scopes of one top-level form share
+    its source name and the list of (VarRef, scope) pairs still to resolve.
+    """
+
+    __slots__ = ("slots", "parent", "refs", "source")
+
+    def __init__(self, slots, parent, refs, source):
+        self.slots = slots
+        self.parent = parent
+        self.refs = refs
+        self.source = source
+
+
 def parse_core(form, source="<input>"):
-    """Validate one expanded datum and compile it to a core form."""
+    """Validate one expanded datum, compile it to a core form, and give
+    each of its variables a lexical address."""
+    top = _Scope(None, None, [], source)
+    core = _parse(form, top)
+    for ref, scope in top.refs:
+        depth = 0
+        while scope.slots is not None:
+            index = scope.slots.get(ref.name)
+            if index is not None:
+                ref.depth = depth
+                ref.index = index
+                break
+            scope = scope.parent
+            depth += 1
+    return core
+
+
+def _parse(form, scope):
     if isinstance(form, Symbol):
-        return VarRef(form)
+        ref = VarRef(form)
+        scope.refs.append((ref, scope))
+        return ref
     if isinstance(form, Pair):
-        return _parse_pair(form, source)
+        return _parse_pair(form, scope)
     if form is NIL:
         raise FormError("() is not a valid expression")
     # ints, floats, booleans, strings, and vector literals self-evaluate
     return Literal(form)
 
 
-def _parse_pair(form, source):
+def _parse_pair(form, scope):
     head = form.car
     items, tail = _spine(form)
     if tail is not NIL:
@@ -227,56 +282,65 @@ def _parse_pair(form, source):
         if head is _S_QUASIQUOTE:
             if len(items) != 2:
                 raise _bad(form, "malformed quasiquote")
-            root, _ = _compile_qq(items[1], source)
+            root, _ = _compile_qq(items[1], scope)
             return QuasiExpr(root)
         if head is _S_UNQUOTE or head is _S_UNQUOTE_SPLICING:
             raise _bad(form, f"{head.name} outside quasiquote")
         if head is _S_IF:
             if len(items) not in (3, 4):
                 raise _bad(form, "malformed if")
-            alt = parse_core(items[3], source) if len(items) == 4 else None
-            return IfExpr(parse_core(items[1], source),
-                          parse_core(items[2], source), alt)
+            alt = _parse(items[3], scope) if len(items) == 4 else None
+            return IfExpr(_parse(items[1], scope), _parse(items[2], scope),
+                          alt)
         if head is _S_DEFINE or head is _S_DEFINE_BANG:
             if len(items) != 3 or not isinstance(items[1], Symbol):
                 raise _bad(form, f"malformed {head.name}")
-            return DefineExpr(items[1], parse_core(items[2], source),
-                              into_global=head is _S_DEFINE_BANG)
+            name = items[1]
+            slots = scope.slots
+            index = None
+            if head is _S_DEFINE and slots is not None:
+                # a parameter of the same name keeps its slot
+                index = slots.setdefault(name, len(slots) + 1)
+            return DefineExpr(name, _parse(items[2], scope), index)
         if head is _S_SET_BANG:
             if len(items) != 3 or not isinstance(items[1], Symbol):
                 raise _bad(form, "malformed set!")
-            return SetExpr(items[1], parse_core(items[2], source))
+            return SetExpr(_parse(items[1], scope), _parse(items[2], scope))
         if head is _S_LAMBDA:
             if len(items) < 3:
                 raise _bad(form, "malformed lambda")
             params, rest = _parse_params(form, items[1])
-            body = tuple(parse_core(b, source) for b in items[2:])
-            return LambdaExpr(params, rest, body)
+            names = params if rest is None else params + (rest,)
+            inner = _Scope({name: i for i, name in enumerate(names, 1)},
+                           scope, scope.refs, scope.source)
+            body = tuple(_parse(b, inner) for b in items[2:])
+            return LambdaExpr(params, rest, body,
+                              len(inner.slots) - len(names))
         if head is _S_BEGIN:
             if len(items) == 1:
                 return Literal(VOID)
             if len(items) == 2:
-                return parse_core(items[1], source)
-            return BeginExpr(tuple(parse_core(b, source) for b in items[1:]))
+                return _parse(items[1], scope)
+            return BeginExpr(tuple(_parse(b, scope) for b in items[1:]))
         if head is _S_AND:
-            return AndExpr(tuple(parse_core(e, source) for e in items[1:]))
+            return AndExpr(tuple(_parse(e, scope) for e in items[1:]))
         if head is _S_OR:
-            return OrExpr(tuple(parse_core(e, source) for e in items[1:]))
+            return OrExpr(tuple(_parse(e, scope) for e in items[1:]))
         if head is _S_COND:
-            return _parse_cond(form, items[1:], source)
+            return _parse_cond(form, items[1:], scope)
         if head is _S_CALLCC or head is _S_CALLCC_LONG:
             if len(items) != 2:
                 raise _bad(form, f"malformed {head.name}")
-            return CallccExpr(parse_core(items[1], source))
+            return CallccExpr(_parse(items[1], scope))
         if head is _S_CHOOSE:
-            return ChooseExpr(tuple(parse_core(e, source) for e in items[1:]))
+            return ChooseExpr(tuple(_parse(e, scope) for e in items[1:]))
         if head is _S_DEFINE_SYNTAX:
             raise _bad(form, "define-syntax is only allowed at top level")
-    op = parse_core(head, source)
-    args = tuple(parse_core(a, source) for a in items[1:])
+    op = _parse(head, scope)
+    args = tuple(_parse(a, scope) for a in items[1:])
     op_name = op.name.name if type(op) is VarRef else None
     line, col = _loc(form)
-    return AppExpr(op, args, op_name, line, col, source)
+    return AppExpr(op, args, op_name, line, col, scope.source)
 
 
 def _parse_params(form, params):
@@ -300,7 +364,7 @@ def _parse_params(form, params):
     return tuple(names), rest
 
 
-def _parse_cond(form, clauses, source):
+def _parse_cond(form, clauses, scope):
     result = Literal(VOID)
     for index in range(len(clauses) - 1, -1, -1):
         clause = clauses[index]
@@ -312,15 +376,15 @@ def _parse_cond(form, clauses, source):
                 raise _bad(form, "cond: else clause must be last")
             if len(items) < 2:
                 raise _bad(form, "cond: empty else clause")
-            result = _body_expr(tuple(parse_core(e, source) for e in items[1:]))
+            result = _body_expr(tuple(_parse(e, scope) for e in items[1:]))
             continue
-        test = parse_core(items[0], source)
+        test = _parse(items[0], scope)
         if len(items) == 1:
             # (test) keeps the test's value when it is truthy
             result = OrExpr((test, result))
         else:
             result = IfExpr(
-                test, _body_expr(tuple(parse_core(e, source) for e in items[1:])),
+                test, _body_expr(tuple(_parse(e, scope) for e in items[1:])),
                 result)
     return result
 
@@ -329,7 +393,7 @@ def _body_expr(body):
     return body[0] if len(body) == 1 else BeginExpr(body)
 
 
-def _compile_qq(template, source):
+def _compile_qq(template, scope):
     """Compile a quasiquote template; returns (node, is_dynamic)."""
     if isinstance(template, Pair):
         head = template.car
@@ -339,7 +403,7 @@ def _compile_qq(template, source):
             if not (isinstance(template.cdr, Pair)
                     and template.cdr.cdr is NIL):
                 raise _bad(template, "malformed unquote")
-            return QQUnquote(parse_core(template.cdr.car, source)), True
+            return QQUnquote(_parse(template.cdr.car, scope)), True
         if head is _S_UNQUOTE_SPLICING:
             raise _bad(template, "unquote-splicing outside list context")
         car_t = template.car
@@ -347,11 +411,11 @@ def _compile_qq(template, source):
                 and car_t.car is _S_UNQUOTE_SPLICING):
             if not (isinstance(car_t.cdr, Pair) and car_t.cdr.cdr is NIL):
                 raise _bad(car_t, "malformed unquote-splicing")
-            car_node = QQSplice(parse_core(car_t.cdr.car, source))
+            car_node = QQSplice(_parse(car_t.cdr.car, scope))
             car_dyn = True
         else:
-            car_node, car_dyn = _compile_qq(car_t, source)
-        cdr_node, cdr_dyn = _compile_qq(template.cdr, source)
+            car_node, car_dyn = _compile_qq(car_t, scope)
+        cdr_node, cdr_dyn = _compile_qq(template.cdr, scope)
         if not (car_dyn or cdr_dyn):
             return QQConst(template), False
         return QQPair(car_node, cdr_node), True
@@ -362,10 +426,10 @@ def _compile_qq(template, source):
             if isinstance(item, Pair) and item.car is _S_UNQUOTE_SPLICING:
                 if not (isinstance(item.cdr, Pair) and item.cdr.cdr is NIL):
                     raise _bad(item, "malformed unquote-splicing")
-                node = QQPair(QQSplice(parse_core(item.cdr.car, source)), node)
+                node = QQPair(QQSplice(_parse(item.cdr.car, scope)), node)
                 dynamic = True
             else:
-                item_node, item_dyn = _compile_qq(item, source)
+                item_node, item_dyn = _compile_qq(item, scope)
                 node = QQPair(item_node, node)
                 dynamic = dynamic or item_dyn
         if not dynamic:

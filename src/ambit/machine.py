@@ -7,6 +7,13 @@ deeply the interpreted program recurses.  Continuations are immutable
 tagged records (`Cont`), and the fail register holds a chain of choice
 points that implements chronological backtracking for `choose`.
 
+Variables arrive resolved by `forms`: a local is slot `index` of the frame
+`depth` links out from `env_reg`, where a frame is a list whose slot 0 is
+the enclosing frame; a global is read by symbol from `Machine.globals`, a
+plain dict, each time, so redefinitions are seen.  A body `define`'s slot
+holds UNASSIGNED until the `define` runs, and reading it earlier is an
+unbound-variable error.
+
 Two flavors of shortcut keep the dispatch loop fast without changing
 semantics: forms with no observable evaluation steps (variables, literals,
 quotes, lambdas, and applications of pure primitives to such forms) are
@@ -27,7 +34,7 @@ from .forms import (
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
 from .values import (
-    TERMINAL_FAIL, VOID, ChoicePoint, Closure, Cont, Environment, Pair,
+    TERMINAL_FAIL, UNASSIGNED, VOID, ChoicePoint, Closure, Cont, Pair,
     Primitive, intern, is_proper_list, list_from,
 )
 from .writer import write_value
@@ -35,12 +42,11 @@ from .writer import write_value
 NO_MORE_CHOICES = "no more choices"
 
 _S_DEFINE_SYNTAX = intern("define-syntax")
-_MISSING = object()
 _NOT_ATOMIC = object()
 
 
 class Machine:
-    """One interpreter instance: registers, global frame, macro table.
+    """One interpreter instance: registers, global table, macro table.
 
     Distinct machines are fully independent; a single machine is strictly
     single-threaded.
@@ -55,7 +61,7 @@ class Machine:
         self.fields_reg = None
         self.final_reg = None
         self.fail_reg = TERMINAL_FAIL
-        self.globals = Environment()
+        self.globals = {}
         self.macros = syntax.MacroTable()
         self.trace = TraceStack(enabled=stack_trace)
         self.stdout = stdout if stdout is not None else sys.stdout
@@ -89,7 +95,7 @@ class Machine:
 
         The fail register persists across calls, so a bare `(choose)` at the
         top level re-enters the previous computation.  On error the global
-        environment survives, the fail chain is restored to its state before
+        definitions survive, the fail chain is restored to its state before
         this form, and the trace stack is cleared.  Any other exception the
         host raises on the way (say, RecursionError on a deeply nested form)
         leaves the same state and surfaces as an InternalError.
@@ -102,11 +108,7 @@ class Machine:
                 syntax.define_macro(self.macros, name, clauses)
                 return VOID
             expanded = syntax.expand(form, self.macros)
-            core = parse_core(expanded, source)
-            self.env_reg = self.globals
-            self.k_reg = self.halt
-            self.exp_reg = core
-            self.pc = step_eval
+            _goto_exp(self, parse_core(expanded, source), None, self.halt)
             return self.trampoline()
         except Exception as err:
             self.fail_reg = saved_fail
@@ -143,19 +145,10 @@ def _halt(m):
     m.pc = None
 
 
-def _lookup(env, sym):
-    while env is not None:
-        value = env.get(sym, _MISSING)
-        if value is not _MISSING:
-            return value
-        env = env.parent
-    raise EvalError("UnboundVariable", sym.name)
-
-
 def _eval_simple(m, form, env):
     """Value of a form the machine may evaluate inline, else a sentinel.
 
-    Variable lookups, literals, quotes, and closure creation have no
+    Variable reads, literals, quotes, and closure creation have no
     observable evaluation steps.  Applications of pure primitives to simple
     operands also qualify: the attempt bails out (before anything impure can
     run) whenever a subform needs the machine, and the normal stepped path
@@ -163,104 +156,55 @@ def _eval_simple(m, form, env):
     """
     t = type(form)
     if t is VarRef:
-        sym = form.name
-        while env is not None:
-            value = env.get(sym, _MISSING)
-            if value is not _MISSING:
-                return value
-            env = env.parent
-        raise EvalError("UnboundVariable", sym.name)
+        index = form.index
+        if index is None:
+            value = m.globals.get(form.name, UNASSIGNED)
+        else:
+            depth = form.depth
+            while depth:
+                env = env[0]
+                depth -= 1
+            value = env[index]
+        if value is UNASSIGNED:
+            raise EvalError("UnboundVariable", form.name.name)
+        return value
     if t is Literal:
         return form.value
     if t is AppExpr:
         op = form.op
         if type(op) is not VarRef:
             return _NOT_ATOMIC
-        sym = op.name
-        proc = _MISSING
-        scope = env
-        while scope is not None:
-            proc = scope.get(sym, _MISSING)
-            if proc is not _MISSING:
-                break
-            scope = scope.parent
-        if proc is _MISSING:
-            raise EvalError("UnboundVariable", sym.name)
+        if op.index is None:
+            # an unbound global is reported by the stepped path
+            proc = m.globals.get(op.name)
+        else:
+            proc = _eval_simple(m, op, env)
         if type(proc) is not Primitive or not proc.pure:
             return _NOT_ATOMIC
-        args = form.args
-        na = len(args)
-        if na == 2:
-            arg = args[0]
+        values = ()
+        for arg in form.args:
             ta = type(arg)
             if ta is VarRef:
-                sym = arg.name
-                a0 = _MISSING
-                scope = env
-                while scope is not None:
-                    a0 = scope.get(sym, _MISSING)
-                    if a0 is not _MISSING:
-                        break
-                    scope = scope.parent
-                if a0 is _MISSING:
-                    raise EvalError("UnboundVariable", sym.name)
+                index = arg.index
+                if index is None:
+                    value = m.globals.get(arg.name, UNASSIGNED)
+                else:
+                    frame = env
+                    depth = arg.depth
+                    while depth:
+                        frame = frame[0]
+                        depth -= 1
+                    value = frame[index]
+                if value is UNASSIGNED:
+                    raise EvalError("UnboundVariable", arg.name.name)
             elif ta is Literal:
-                a0 = arg.value
+                value = arg.value
             else:
-                a0 = _eval_simple(m, arg, env)
-                if a0 is _NOT_ATOMIC:
-                    return _NOT_ATOMIC
-            arg = args[1]
-            ta = type(arg)
-            if ta is VarRef:
-                sym = arg.name
-                a1 = _MISSING
-                scope = env
-                while scope is not None:
-                    a1 = scope.get(sym, _MISSING)
-                    if a1 is not _MISSING:
-                        break
-                    scope = scope.parent
-                if a1 is _MISSING:
-                    raise EvalError("UnboundVariable", sym.name)
-            elif ta is Literal:
-                a1 = arg.value
-            else:
-                a1 = _eval_simple(m, arg, env)
-                if a1 is _NOT_ATOMIC:
-                    return _NOT_ATOMIC
-            values = (a0, a1)
-        elif na == 1:
-            arg = args[0]
-            ta = type(arg)
-            if ta is VarRef:
-                sym = arg.name
-                a0 = _MISSING
-                scope = env
-                while scope is not None:
-                    a0 = scope.get(sym, _MISSING)
-                    if a0 is not _MISSING:
-                        break
-                    scope = scope.parent
-                if a0 is _MISSING:
-                    raise EvalError("UnboundVariable", sym.name)
-            elif ta is Literal:
-                a0 = arg.value
-            else:
-                a0 = _eval_simple(m, arg, env)
-                if a0 is _NOT_ATOMIC:
-                    return _NOT_ATOMIC
-            values = (a0,)
-        elif na == 0:
-            values = ()
-        else:
-            collected = []
-            for arg in args:
                 value = _eval_simple(m, arg, env)
                 if value is _NOT_ATOMIC:
                     return _NOT_ATOMIC
-                collected.append(value)
-            values = tuple(collected)
+            values += (value,)
+        na = len(values)
         if na < proc.min_args or (proc.max_args is not None
                                   and na > proc.max_args):
             _raise_arity(proc, na)
@@ -268,7 +212,7 @@ def _eval_simple(m, form, env):
     if t is QuoteExpr:
         return form.datum
     if t is LambdaExpr:
-        return Closure(form.params, form.rest, form.body, env)
+        return Closure(form, env)
     return _NOT_ATOMIC
 
 
@@ -284,10 +228,10 @@ def _goto_exp(m, exp, env, k):
     while t is IfExpr:
         test = _eval_simple(m, exp.test, env)
         if test is _NOT_ATOMIC:
-            # the test needs the machine; step_eval takes it from here
-            m.exp_reg = exp
+            # the test needs the machine; the branch is picked by cont_if
+            m.exp_reg = exp.test
             m.env_reg = env
-            m.k_reg = k
+            m.k_reg = m.make_cont(cont_if, exp, env, k)
             m.pc = step_eval
             return
         if test is not False:
@@ -298,17 +242,8 @@ def _goto_exp(m, exp, env, k):
         else:
             exp = exp.alt
         t = type(exp)
-    if t is VarRef:
-        apply_cont(m, k, _lookup(env, exp.name))
-        return
-    if t is Literal:
-        apply_cont(m, k, exp.value)
-        return
-    if t is QuoteExpr:
-        apply_cont(m, k, exp.datum)
-        return
-    if t is LambdaExpr:
-        apply_cont(m, k, Closure(exp.params, exp.rest, exp.body, env))
+    if t is VarRef or t is Literal or t is QuoteExpr or t is LambdaExpr:
+        apply_cont(m, k, _eval_simple(m, exp, env))
         return
     m.exp_reg = exp
     m.env_reg = env
@@ -317,108 +252,57 @@ def _goto_exp(m, exp, env, k):
 
 
 def step_eval(m):
-    """Expression dispatch: evaluates `exp_reg` in `env_reg` toward `k_reg`."""
+    """Dispatch on a compound form: evaluates `exp_reg` in `env_reg` toward
+    `k_reg`.  Atomic forms never get here; `_goto_exp` delivers them."""
     exp = m.exp_reg
     t = type(exp)
     if t is AppExpr:
         env = m.env_reg
-        k = m.k_reg
         op = exp.op
         if type(op) is VarRef:
-            sym = op.name
-            proc = _MISSING
-            scope = env
-            while scope is not None:
-                proc = scope.get(sym, _MISSING)
-                if proc is not _MISSING:
-                    break
-                scope = scope.parent
-            if proc is _MISSING:
-                raise EvalError("UnboundVariable", sym.name)
+            index = op.index
+            if index is None:
+                proc = m.globals.get(op.name, UNASSIGNED)
+            else:
+                frame = env
+                depth = op.depth
+                while depth:
+                    frame = frame[0]
+                    depth -= 1
+                proc = frame[index]
+            if proc is UNASSIGNED:
+                raise EvalError("UnboundVariable", op.name.name)
         else:
             proc = _eval_simple(m, op, env)
             if proc is _NOT_ATOMIC:
                 m.exp_reg = op
-                m.k_reg = m.make_cont(cont_operator, exp, env, k)
+                m.k_reg = m.make_cont(cont_operator, exp, env, m.k_reg)
                 return
-        # fused operand loop for the common shapes; anything unusual falls
-        # back to the generic helpers
-        args = exp.args
-        n = len(args)
-        acc = ()
-        i = 0
-        while i < n:
-            arg = args[i]
-            ta = type(arg)
-            if ta is VarRef:
-                sym = arg.name
-                value = _MISSING
-                scope = env
-                while scope is not None:
-                    value = scope.get(sym, _MISSING)
-                    if value is not _MISSING:
-                        break
-                    scope = scope.parent
-                if value is _MISSING:
-                    raise EvalError("UnboundVariable", sym.name)
-            elif ta is Literal:
-                value = arg.value
-            elif ta is LambdaExpr:
-                value = Closure(arg.params, arg.rest, arg.body, env)
-            else:
-                value = _eval_simple(m, arg, env)
-                if value is _NOT_ATOMIC:
-                    m.exp_reg = arg
-                    m.env_reg = env
-                    m.k_reg = m.make_cont(cont_operand, proc, exp, i + 1,
-                                          acc, env, k)
-                    return
-            acc = acc + (value,)
-            i += 1
-        apply_proc(m, proc, acc, k, exp)
+        _eval_operands(m, proc, exp, 0, (), env, m.k_reg)
         return
     if t is IfExpr:
-        env = m.env_reg
-        test = _eval_simple(m, exp.test, env)
-        if test is _NOT_ATOMIC:
-            m.exp_reg = exp.test
-            m.k_reg = m.make_cont(cont_if, exp, env, m.k_reg)
-            return
-        _select_branch(m, exp, test, env, m.k_reg)
-        return
-    if t is VarRef:
-        apply_cont(m, m.k_reg, _lookup(m.env_reg, exp.name))
-        return
-    if t is Literal:
-        apply_cont(m, m.k_reg, exp.value)
-        return
-    if t is QuoteExpr:
-        apply_cont(m, m.k_reg, exp.datum)
-        return
-    if t is LambdaExpr:
-        apply_cont(m, m.k_reg,
-                   Closure(exp.params, exp.rest, exp.body, m.env_reg))
+        _goto_exp(m, exp, m.env_reg, m.k_reg)
         return
     if t is BeginExpr:
         _eval_body(m, exp.body, m.env_reg, m.k_reg)
         return
     if t is DefineExpr:
-        env = m.globals if exp.into_global else m.env_reg
-        value = _eval_simple(m, exp.expr, m.env_reg)
+        env = m.env_reg
+        value = _eval_simple(m, exp.expr, env)
         if value is _NOT_ATOMIC:
             m.exp_reg = exp.expr
-            m.k_reg = m.make_cont(cont_define, exp.name, env, m.k_reg)
+            m.k_reg = m.make_cont(cont_define, exp, env, m.k_reg)
             return
-        _finish_define(m, exp.name, value, env, m.k_reg)
+        _finish_define(m, exp, value, env, m.k_reg)
         return
     if t is SetExpr:
         env = m.env_reg
         value = _eval_simple(m, exp.expr, env)
         if value is _NOT_ATOMIC:
             m.exp_reg = exp.expr
-            m.k_reg = m.make_cont(cont_set, exp.name, env, m.k_reg)
+            m.k_reg = m.make_cont(cont_set, exp.target, env, m.k_reg)
             return
-        env.set(exp.name, value)
+        _assign(m, exp.target, env, value)
         apply_cont(m, m.k_reg, VOID)
         return
     if t is AndExpr:
@@ -446,8 +330,9 @@ def step_eval(m):
     raise EvalError("InternalError", f"unknown core form {exp!r}")
 
 
-def _select_branch(m, exp, test, env, k):
-    if test is not False:
+def cont_if(m):
+    exp, env, k = m.fields_reg
+    if m.value_reg is not False:
         _goto_exp(m, exp.then, env, k)
     elif exp.alt is None:
         apply_cont(m, k, VOID)
@@ -455,26 +340,42 @@ def _select_branch(m, exp, test, env, k):
         _goto_exp(m, exp.alt, env, k)
 
 
-def cont_if(m):
-    exp, env, k = m.fields_reg
-    _select_branch(m, exp, m.value_reg, env, k)
-
-
-def _finish_define(m, name, value, env, k):
+def _finish_define(m, exp, value, env, k):
+    name = exp.name
     if type(value) is Closure and value.name is None:
         value.name = name
-    env[name] = value
+    if exp.index is None:
+        m.globals[name] = value
+    else:
+        env[exp.index] = value
     apply_cont(m, k, VOID)
 
 
 def cont_define(m):
-    name, env, k = m.fields_reg
-    _finish_define(m, name, m.value_reg, env, k)
+    exp, env, k = m.fields_reg
+    _finish_define(m, exp, m.value_reg, env, k)
+
+
+def _assign(m, ref, env, value):
+    """`set!`: the variable must already be bound (or its `define` run)."""
+    index = ref.index
+    if index is None:
+        if ref.name not in m.globals:
+            raise EvalError("UnboundVariable", f"set!: {ref.name.name}")
+        m.globals[ref.name] = value
+        return
+    depth = ref.depth
+    while depth:
+        env = env[0]
+        depth -= 1
+    if env[index] is UNASSIGNED:
+        raise EvalError("UnboundVariable", f"set!: {ref.name.name}")
+    env[index] = value
 
 
 def cont_set(m):
-    name, env, k = m.fields_reg
-    env.set(name, m.value_reg)
+    ref, env, k = m.fields_reg
+    _assign(m, ref, env, m.value_reg)
     apply_cont(m, k, VOID)
 
 
@@ -548,20 +449,22 @@ def _eval_operands(m, proc, app, i, acc, env, k):
         arg = args[i]
         ta = type(arg)
         if ta is VarRef:
-            sym = arg.name
-            value = _MISSING
-            scope = env
-            while scope is not None:
-                value = scope.get(sym, _MISSING)
-                if value is not _MISSING:
-                    break
-                scope = scope.parent
-            if value is _MISSING:
-                raise EvalError("UnboundVariable", sym.name)
+            index = arg.index
+            if index is None:
+                value = m.globals.get(arg.name, UNASSIGNED)
+            else:
+                frame = env
+                depth = arg.depth
+                while depth:
+                    frame = frame[0]
+                    depth -= 1
+                value = frame[index]
+            if value is UNASSIGNED:
+                raise EvalError("UnboundVariable", arg.name.name)
         elif ta is Literal:
             value = arg.value
         elif ta is LambdaExpr:
-            value = Closure(arg.params, arg.rest, arg.body, env)
+            value = Closure(arg, env)
         else:
             value = _eval_simple(m, arg, env)
             if value is _NOT_ATOMIC:
@@ -604,31 +507,23 @@ def apply_proc(m, proc, args, k, app=None):
     """
     t = type(proc)
     if t is Closure:
-        params = proc.params
-        np = len(params)
+        lam = proc.lam
+        np = len(lam.params)
         na = len(args)
-        env = Environment(proc.env)
-        if proc.rest is None:
+        if lam.rest is None:
             if na != np:
                 raise EvalError("ArityError",
                                 f"{_proc_label(proc, app)}: expected {np} "
                                 f"argument(s), got {na}")
-            if np == 1:
-                env[params[0]] = args[0]
-            elif np == 2:
-                env[params[0]] = args[0]
-                env[params[1]] = args[1]
-            elif np:
-                for i in range(np):
-                    env[params[i]] = args[i]
+            env = [proc.env, *args]
         else:
             if na < np:
                 raise EvalError("ArityError",
                                 f"{_proc_label(proc, app)}: expected at least "
                                 f"{np} argument(s), got {na}")
-            for i in range(np):
-                env[params[i]] = args[i]
-            env[proc.rest] = list_from(args[np:])
+            env = [proc.env, *args[:np], list_from(args[np:])]
+        if lam.defines:
+            env += [UNASSIGNED] * lam.defines
         trace = m.trace
         if trace.config.enabled:
             # node layout: (label, args, line, col, source, parent, depth)
@@ -645,7 +540,7 @@ def apply_proc(m, proc, args, k, app=None):
                                parent, depth)
             if depth > trace.high_water:
                 trace.high_water = depth
-        body = proc.body
+        body = lam.body
         if len(body) == 1:
             _goto_exp(m, body[0], env, k)
         else:
@@ -716,17 +611,15 @@ def step_qq(m):
         apply_cont(m, m.k_reg, node.datum)
         return
     if t is QQUnquote:
-        m.exp_reg = node.form
-        m.pc = step_eval
+        _goto_exp(m, node.form, m.env_reg, m.k_reg)
         return
     if t is QQPair:
         env = m.env_reg
         k = m.k_reg
         car_node = node.car
         if type(car_node) is QQSplice:
-            m.exp_reg = car_node.form
-            m.k_reg = m.make_cont(cont_qq_splice, node.cdr, env, k)
-            m.pc = step_eval
+            _goto_exp(m, car_node.form, env,
+                      m.make_cont(cont_qq_splice, node.cdr, env, k))
         else:
             m.exp_reg = car_node
             m.k_reg = m.make_cont(cont_qq_car, node.cdr, env, k)

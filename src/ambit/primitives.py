@@ -26,13 +26,12 @@ _IMPURE = frozenset({
 })
 
 
-def install_primitives(env):
-    """Bind every built-in procedure into the (fresh) global frame."""
+def install_primitives(table):
+    """Bind every built-in procedure in the (fresh) global table."""
     for name, fn, min_args, max_args, control in _PRIMITIVE_SPECS:
-        env.define(intern(name),
-                   Primitive(name, fn, min_args, max_args, control=control,
-                             pure=not control and name not in _IMPURE))
-    return env
+        table[intern(name)] = Primitive(
+            name, fn, min_args, max_args, control=control,
+            pure=not control and name not in _IMPURE)
 
 
 def _type_error(who, expected, value):

@@ -27,11 +27,10 @@ def frame_call_text(frame):
 
 
 class TraceConfig:
-    __slots__ = ("enabled", "max_frames")
+    __slots__ = ("enabled",)
 
-    def __init__(self, enabled=True, max_frames=DEFAULT_MAX_FRAMES):
+    def __init__(self, enabled=True):
         self.enabled = enabled
-        self.max_frames = max_frames
 
 
 class TraceStack:

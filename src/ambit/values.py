@@ -1,9 +1,11 @@
-"""Runtime data model: symbols, pairs, closures, continuations, environments.
+"""Runtime data model: symbols, pairs, closures, continuations.
 
 Scheme values map onto Python as follows: integers are int (kept within
 signed 64-bit range by the arithmetic primitives), reals are float, booleans
 are True/False, strings are str, vectors are Python lists.  Everything else
-gets a dedicated class below.
+gets a dedicated class below.  A lambda's frame at run time is a plain list
+of slots, slot 0 being the enclosing frame (see `forms`); globals live in a
+dict keyed by symbol.
 """
 
 from .errors import EvalError
@@ -73,20 +75,21 @@ EOF_OBJECT = _Unique("#<eof>")
 # Terminal element of the fail-continuation chain.
 TERMINAL_FAIL = _Unique("#<terminal-fail>")
 
+# Content of a body `define`'s frame slot until the `define` runs.
+UNASSIGNED = _Unique("#<unassigned>")
+
 
 class Closure:
-    """User procedure: parameters, body forms, and the defining environment.
+    """User procedure: its compiled `LambdaExpr` and the defining frame.
 
-    The environment is captured by reference, so later mutations of captured
+    The frame is captured by reference, so later mutations of captured
     frames are visible to the closure.
     """
 
-    __slots__ = ("params", "rest", "body", "env", "name")
+    __slots__ = ("lam", "env", "name")
 
-    def __init__(self, params, rest, body, env, name=None):
-        self.params = params
-        self.rest = rest
-        self.body = body
+    def __init__(self, lam, env, name=None):
+        self.lam = lam
         self.env = env
         self.name = name
 
@@ -134,7 +137,7 @@ class Cont:
 
 class ChoicePoint:
     """One pending `choose`: its untried alternatives plus everything needed
-    to resume there (environment, continuation, trace spine, parent point).
+    to resume there (frame, continuation, trace spine, parent point).
     """
 
     __slots__ = ("alternatives", "env", "k", "parent", "spine")
@@ -145,33 +148,6 @@ class ChoicePoint:
         self.k = k
         self.parent = parent
         self.spine = spine
-
-
-class Environment(dict):
-    """One frame of symbol->value bindings, chained to a parent frame.
-
-    The frame IS the dict (symbol keys hash by identity thanks to
-    interning); the machine looks variables up innermost-out, `set` mutates
-    the nearest binding, `define` binds in this frame.
-    """
-
-    __slots__ = ("parent",)
-
-    # dict.__new__ already set up storage; skip dict.__init__ on purpose
-    def __init__(self, parent=None):  # pylint: disable=super-init-not-called
-        self.parent = parent
-
-    def define(self, sym, value):
-        self[sym] = value
-
-    def set(self, sym, value):
-        env = self
-        while env is not None:
-            if sym in env:
-                env[sym] = value
-                return
-            env = env.parent
-        raise EvalError("UnboundVariable", f"set!: {sym.name}")
 
 
 def scheme_list(*items):

@@ -1,13 +1,18 @@
+import io
 import random
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     COLOR_EUROPE_PROGRAM, coloring_solutions, coloring_text, combo_text,
-    exhaust_choices, gen_search_program,
+    exhaust_choices, gen_choose_tree, gen_predicate, gen_search_program,
+    tree_leaves, tree_text,
 )
 
-from ambit import write_value
+from ambit import Machine, write_value
 from ambit.errors import EvalError
 from ambit.machine import NO_MORE_CHOICES
 from ambit.values import TERMINAL_FAIL
@@ -171,3 +176,52 @@ def test_random_generate_and_test_against_enumerator(machine):
         produced = exhaust_choices(machine, program)
         assert [write_value(v) for v in produced] == \
             [combo_text(c) for c in expected], program
+
+
+# Each binder opens frames around the rest of the program: (text, frames).
+_BINDERS = {
+    "let": ("(let (({v} {e})) {rest})", 1),
+    "let*": ("(let* (({v} {e})) {rest})", 2),
+    "lambda": ("((lambda ({v}) {rest}) {e})", 1),
+    "define": ("((lambda () (define {v} {e}) {rest}))", 1),
+}
+
+
+@st.composite
+def nested_search_programs(draw):
+    """A generate-and-test program whose variables are bound by nested
+    binders, with padding frames between them, so the final requires and
+    list read them 0-3 frames out; plus its expected solutions."""
+    rng = draw(st.randoms(use_true_random=False))
+    nvars = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(sorted(_BINDERS)),
+                          min_size=nvars, max_size=nvars))
+    pads = draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars))
+    trees = [gen_choose_tree(rng, rng.randint(1, 3)) for _ in range(nvars)]
+    predicates = [gen_predicate(rng, nvars) for _ in range(rng.randint(1, 3))]
+    listing = " ".join(f"x{i}" for i in range(nvars))
+    text = " ".join(f"(require {p})" for p, _ in predicates)
+    text += f" (list {listing})"
+    depth = 0
+    depths = []
+    for i in reversed(range(nvars)):
+        for _ in range(pads[i]):
+            text = f"(let ((pad {i})) {text})"
+        template, frames = _BINDERS[kinds[i]]
+        depths.append(depth + pads[i] + frames - 1)
+        depth += pads[i] + frames
+        text = template.format(v=f"x{i}", e=tree_text(trees[i]), rest=text)
+    assume(max(depths) <= 3)
+    leaves = [tree_leaves(t) for t in trees]
+    expected = [combo for combo in product(*leaves)
+                if all(check(combo) for _, check in predicates)]
+    return text, expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_search_programs())
+def test_nested_scopes_against_enumerator(program):
+    text, expected = program
+    produced = exhaust_choices(Machine(stdout=io.StringIO()), text)
+    assert [write_value(v) for v in produced] == \
+        [combo_text(c) for c in expected], text

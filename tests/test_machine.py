@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from helpers import EVEN_ODD_PROGRAM, SUM_PROGRAM
+from helpers import EVEN_ODD_PROGRAM, SUM_PROGRAM, exhaust_choices
 
 from ambit import Machine, VOID, equal, read_all, write_value
 from ambit.errors import EvalError, FormError, SchemeError
@@ -52,6 +52,12 @@ def test_define_bang_targets_global_frame(machine):
     ev(machine, "(define f (lambda () (define! g 42) 'done))")
     ev(machine, "(f)")
     assert ev(machine, "g") == 42
+    # define! takes no slot: g in the body is still the global
+    ev(machine, "(define f (lambda (x) (define! g (+ x 1)) g))")
+    assert ev(machine, "(f 1)") == 2
+    ev(machine, "(define h (lambda (g) (define! g 'global) g))")
+    assert ev(machine, "(h 'param)").name == "param"
+    assert ev(machine, "g").name == "global"
 
 
 def test_internal_define_is_frame_local(machine):
@@ -362,3 +368,92 @@ def test_host_exception_becomes_internal_error_with_state_restored(machine):
     assert machine.fail_reg is fail_chain
     assert machine.trace.spine is None
     assert machine.eval_source("(choose)") == 2
+
+
+# --- lexical addresses ------------------------------------------------------
+
+
+def test_set_reaches_binding_two_frames_up(machine):
+    ev(machine, """
+        (define make
+          (lambda (n)
+            (lambda (a)
+              (lambda (b) (set! n (+ n a b)) n))))
+    """)
+    ev(machine, "(define bump ((make 100) 10))")
+    assert ev(machine, "(bump 1)") == 111
+    assert ev(machine, "(bump 2)") == 123
+
+
+def test_closure_sees_global_callee_defined_and_redefined_later(machine):
+    ev(machine, "(define caller (lambda (x) (callee x)))")
+    with pytest.raises(EvalError) as excinfo:
+        ev(machine, "(caller 1)")
+    assert excinfo.value.error_line() == "UnboundVariable: callee"
+    ev(machine, "(define callee (lambda (x) (* x 10)))")
+    assert ev(machine, "(caller 2)") == 20
+    ev(machine, "(define callee (lambda (x) (- x)))")
+    assert ev(machine, "(caller 3)") == -3
+
+
+def test_redefined_plus_seen_by_inline_primitive_path(machine):
+    ev(machine, "(define add (lambda (a b) (+ a b)))")
+    ev(machine, "(define twice (lambda (a) (* 2 (+ a 1))))")
+    assert ev(machine, "(add 2 3)") == 5
+    assert ev(machine, "(twice 4)") == 10
+    ev(machine, "(define + (lambda (a b) (list 'plus a b)))")
+    assert write_value(ev(machine, "(add 2 3)")) == "(plus 2 3)"
+    with pytest.raises(EvalError) as excinfo:
+        ev(machine, "(twice 4)")
+    assert excinfo.value.label == "*"
+
+
+def test_parameter_shadows_primitive_of_the_same_name(machine):
+    assert ev(machine, "((lambda (car) (car 1)) (lambda (x) (+ x 1)))") == 2
+    assert ev(machine, "((lambda (list) list) 7)") == 7
+    assert ev(machine, "((lambda (list) (+ list 1)) 7)") == 8
+    assert write_value(ev(machine, "(list (car '(1 2)))")) == "(1)"
+
+
+def test_define_in_choose_alternative_seen_after_backtracking(machine):
+    ev(machine, """
+        (define pick
+          (lambda ()
+            (choose (define v 1) (define v 2) (define v 3))
+            (require (> v 1))
+            v))
+    """)
+    assert exhaust_choices(machine, "(pick)") == [2, 3]
+
+
+def test_body_name_read_before_its_define_is_unbound(machine):
+    # R7RS body scope: a body `define` binds the name for the whole body,
+    # so an earlier read does not fall through to the global
+    ev(machine, "(define x 'outer)")
+    ev(machine, "(define f (lambda () (define y x) (define x 'inner) y))")
+    with pytest.raises(EvalError) as excinfo:
+        ev(machine, "(f)")
+    assert excinfo.value.error_line() == "UnboundVariable: x"
+    ev(machine, "(define g (lambda () (set! x 1) (define x 2) x))")
+    with pytest.raises(EvalError) as excinfo:
+        ev(machine, "(g)")
+    assert excinfo.value.error_line() == "UnboundVariable: set!: x"
+    assert ev(machine, "x").name == "outer"
+
+
+def test_define_of_parameter_name_reuses_its_slot(machine):
+    assert write_value(ev(machine, """
+        ((lambda (x) (define y x) (define x (+ x 1)) (list y x)) 1)
+    """)) == "(1 2)"
+
+
+def test_deeply_nested_inline_form(machine):
+    # guards against the compiler spending more host frames per nesting
+    # level: 250 levels fit under 100 frames of callers
+    depth = 250
+    text = "(+ " * depth + "1" + " 1)" * depth
+
+    def under(frames):
+        return under(frames - 1) if frames else ev(machine, text)
+
+    assert under(100) == depth + 1
