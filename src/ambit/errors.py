@@ -49,7 +49,8 @@ class ParseError(SchemeError):
 
 
 class FormError(SchemeError):
-    """A datum that survived expansion but is not a valid core form."""
+    """A datum that, once its macro uses are expanded, is not a valid core
+    form."""
 
     def __init__(self, message, line=None, col=None):
         super().__init__("SyntaxError", message, line, col)

@@ -1,10 +1,13 @@
-"""Core-form AST, validation, and variable resolution.
+"""Core-form AST, macro expansion, validation, and variable resolution.
 
-Expanded datums are checked and compiled into small AST nodes before the
-machine sees them, so evaluation never encounters a macro keyword or a
-malformed special form.  `cond` is lowered into if/or/begin here; `and` and
-`or` stay as dedicated nodes so they can deliver the deciding value without
-introducing temporaries.
+Datums are checked and compiled into small AST nodes before the machine sees
+them, so evaluation never encounters a macro keyword or a malformed special
+form.  The one walk over a datum expands each macro use as it meets it: a
+form whose head names a macro is rewritten by `syntax.expand` before it is
+dispatched, so the expansion's subforms are expanded when the walk reaches
+them, and only in the positions this module parses as expressions.  `cond`
+is lowered into if/or/begin here; `and` and `or` stay as dedicated nodes so
+they can deliver the deciding value without introducing temporaries.
 
 Every variable is resolved here, once, by lexical addressing (SICP 5.5.6).
 A lambda's frame at run time is a list: slot 0 holds the enclosing frame,
@@ -17,6 +20,7 @@ addresses are filled in once the whole top-level form is parsed, so a
 reference may precede the body `define` it names.
 """
 
+from . import syntax
 from .errors import FormError
 from .values import NIL, VOID, Pair, SourcePair, Symbol, intern
 from .writer import write_value
@@ -226,22 +230,25 @@ class _Scope:
     """Compile-time frame: each name a lambda binds, mapped to its slot.
 
     The top-level scope has no slots.  All scopes of one top-level form share
-    its source name and the list of (VarRef, scope) pairs still to resolve.
+    its macro table, its source name and the list of (VarRef, scope) pairs
+    still to resolve.
     """
 
-    __slots__ = ("slots", "parent", "refs", "source")
+    __slots__ = ("slots", "parent", "refs", "macros", "source")
 
-    def __init__(self, slots, parent, refs, source):
+    def __init__(self, slots, parent, refs, macros, source):
         self.slots = slots
         self.parent = parent
         self.refs = refs
+        self.macros = macros
         self.source = source
 
 
-def parse_core(form, source="<input>"):
-    """Validate one expanded datum, compile it to a core form, and give
-    each of its variables a lexical address."""
-    top = _Scope(None, None, [], source)
+def parse_core(form, macros, source="<input>"):
+    """Expand the macro uses in one datum, validate it, compile it to a core
+    form, and give each of its variables a lexical address.  `macros` maps
+    each macro name to its clauses (see `syntax`)."""
+    top = _Scope(None, None, [], macros, source)
     core = _parse(form, top)
     for ref, scope in top.refs:
         depth = 0
@@ -257,6 +264,11 @@ def parse_core(form, source="<input>"):
 
 
 def _parse(form, scope):
+    # expanded here rather than by a call back into _parse, so a macro level
+    # costs no extra host frame
+    if (isinstance(form, Pair) and isinstance(form.car, Symbol)
+            and form.car in scope.macros):
+        form = syntax.expand(form, scope.macros)
     if isinstance(form, Symbol):
         ref = VarRef(form)
         scope.refs.append((ref, scope))
@@ -312,7 +324,7 @@ def _parse_pair(form, scope):
             params, rest = _parse_params(form, items[1])
             names = params if rest is None else params + (rest,)
             inner = _Scope({name: i for i, name in enumerate(names, 1)},
-                           scope, scope.refs, scope.source)
+                           scope, scope.refs, scope.macros, scope.source)
             body = tuple(_parse(b, inner) for b in items[2:])
             return LambdaExpr(params, rest, body,
                               len(inner.slots) - len(names))

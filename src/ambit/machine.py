@@ -62,7 +62,7 @@ class Machine:
         self.final_reg = None
         self.fail_reg = TERMINAL_FAIL
         self.globals = {}
-        self.macros = syntax.MacroTable()
+        self.macros = {}
         self.trace = TraceStack(enabled=stack_trace)
         self.stdout = stdout if stdout is not None else sys.stdout
         self.cont_allocations = 0
@@ -91,7 +91,8 @@ class Machine:
         return self.final_reg
 
     def eval_top(self, datum, source="<input>"):
-        """Expand, validate, and evaluate one top-level form.
+        """Validate and evaluate one top-level form, expanding each macro use
+        as `parse_core` meets it.
 
         The fail register persists across calls, so a bare `(choose)` at the
         top level re-enters the previous computation.  On error the global
@@ -107,8 +108,8 @@ class Machine:
                 name, clauses = syntax.parse_define_syntax(form)
                 syntax.define_macro(self.macros, name, clauses)
                 return VOID
-            expanded = syntax.expand(form, self.macros)
-            _goto_exp(self, parse_core(expanded, source), None, self.halt)
+            _goto_exp(self, parse_core(form, self.macros, source), None,
+                      self.halt)
             return self.trampoline()
         except Exception as err:
             self.fail_reg = saved_fail

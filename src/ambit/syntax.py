@@ -1,17 +1,23 @@
 """define-syntax macros: unification pattern matching with `?`-variables.
 
-A macro is an ordered list of (pattern, template) clauses.  Patterns are
-plain list structure; a symbol starting with `?` matches any single value,
-and a dotted tail variable `(p1 . ?rest)` matches the whole remainder of the
-form.  Expansion is deliberately non-hygienic: templates are instantiated by
-direct substitution, so macros can capture variables.
+A macro table is a plain dict from each macro name to its ordered list of
+(pattern, template) clauses.  Patterns are plain list structure; a symbol
+starting with `?` matches any single value, and a dotted tail variable
+`(p1 . ?rest)` matches the whole remainder of the form.  Expansion is
+deliberately non-hygienic: templates are instantiated by direct
+substitution, so macros can capture variables.
+
+`expand` rewrites one macro use at its head only.  `forms.parse_core` calls
+it on each form it meets whose head names a macro, so only `forms` knows
+which positions of a core form hold expressions.
 """
 
 from .errors import MacroError
-from .values import NIL, Pair, SourcePair, Symbol, equal, intern
+from .values import NIL, Pair, Symbol, equal, intern
 from .writer import write_value
 
-DEFAULT_FUEL = 10_000
+# Expansions one macro use may take before it counts as a runaway.
+FUEL = 10_000
 
 # Structural core forms a macro may not shadow.  `and`, `or`, and `cond`
 # are intentionally absent: they are expressible as macros, so user
@@ -22,19 +28,7 @@ RESERVED_NAMES = frozenset({
     "call/cc", "call-with-current-continuation", "choose", "define-syntax",
 })
 
-_S_QUOTE = intern("quote")
-_S_QUASIQUOTE = intern("quasiquote")
-_S_UNQUOTE = intern("unquote")
-_S_UNQUOTE_SPLICING = intern("unquote-splicing")
 _S_DEFINE_SYNTAX = intern("define-syntax")
-_S_LAMBDA = intern("lambda")
-_S_COND = intern("cond")
-
-# Special forms whose first element is never expanded; every other element is.
-_HEADED_FORMS = frozenset(
-    intern(n) for n in ("if", "begin", "and", "or", "choose",
-                        "call/cc", "call-with-current-continuation"))
-_BINDING_FORMS = frozenset(intern(n) for n in ("define", "define!", "set!"))
 
 
 class MacroClause:
@@ -43,22 +37,6 @@ class MacroClause:
     def __init__(self, pattern, template):
         self.pattern = pattern
         self.template = template
-
-
-class MacroTable:
-    """Macro name -> clause list; clauses are tried in definition order."""
-
-    __slots__ = ("bindings",)
-
-    def __init__(self):
-        self.bindings = {}
-
-    def lookup(self, name):
-        return self.bindings.get(name)
-
-
-def is_pattern_variable(value):
-    return isinstance(value, Symbol) and value.name.startswith("?")
 
 
 def match_pattern(pattern, form):
@@ -138,7 +116,7 @@ def define_macro(table, name, clauses):
                 raise MacroError(
                     f"define-syntax {name.name}: template variable {var.name} "
                     f"does not occur in its pattern")
-    table.bindings[name] = list(clauses)
+    table[name] = list(clauses)
     return table
 
 
@@ -182,142 +160,31 @@ def parse_define_syntax(form):
     return name, clauses
 
 
-def expand(form, table, fuel=DEFAULT_FUEL):
-    """Fully expand `form`: head expansion to fixpoint, then subforms.
+def expand(form, table):
+    """Expand the macro use `form` until its head is no longer a macro.
 
-    `quote` bodies are untouched; inside `quasiquote` only `unquote` /
-    `unquote-splicing` subexpressions are expanded.  `fuel` bounds the total
-    number of head expansions so runaway macros fail fast.
+    Only the head is rewritten: the parser calls this on each form it meets
+    whose head names a macro, so the subforms of the result are expanded when
+    the parser reaches them.  One call makes at most FUEL expansions, so a
+    runaway macro fails fast.
     """
-    cell = [fuel]
-    return _expand(form, table, cell)
-
-
-def _expand(form, table, cell):
-    form = _expand_head(form, table, cell)
-    if not isinstance(form, Pair):
-        return form
-    head = form.car
-    if isinstance(head, Symbol):
-        if head is _S_QUOTE or head is _S_DEFINE_SYNTAX:
-            return form
-        if head is _S_QUASIQUOTE:
-            items, tail = _spine(form)
-            new_items = list(items)
-            for i in range(1, len(items)):
-                new_items[i] = _expand_quasi(items[i], table, cell)
-            if all(a is b for a, b in zip(new_items, items)):
-                return form
-            return _rebuild_spine(form, new_items, tail)
-        if head is _S_LAMBDA:
-            return _expand_elements(form, table, cell, skip=2)
-        if head in _BINDING_FORMS:
-            return _expand_elements(form, table, cell, skip=2)
-        if head is _S_COND:
-            return _expand_cond(form, table, cell)
-        if head in _HEADED_FORMS:
-            return _expand_elements(form, table, cell, skip=1)
-    return _expand_elements(form, table, cell, skip=0)
-
-
-def _expand_head(form, table, cell):
+    fuel = FUEL
     while isinstance(form, Pair) and isinstance(form.car, Symbol):
-        clauses = table.lookup(form.car)
+        clauses = table.get(form.car)
         if clauses is None:
             return form
         for clause in clauses:
             bindings = match_pattern(clause.pattern, form)
             if bindings is not None:
-                if cell[0] <= 0:
-                    raise MacroError(
-                        "macro expansion fuel exhausted (runaway macro?) at "
-                        f"{write_value(form)}", label="ExpansionError")
-                cell[0] -= 1
-                form = instantiate(clause.template, bindings)
                 break
         else:
             raise MacroError(
                 f"no matching clause for {write_value(form)}",
                 label="ExpansionError")
+        if fuel <= 0:
+            raise MacroError(
+                "macro expansion fuel exhausted (runaway macro?) at "
+                f"{write_value(form)}", label="ExpansionError")
+        fuel -= 1
+        form = instantiate(clause.template, bindings)
     return form
-
-
-def _spine(form):
-    items = []
-    node = form
-    while isinstance(node, Pair):
-        items.append(node.car)
-        node = node.cdr
-    return items, node
-
-
-def _expand_elements(form, table, cell, skip):
-    items, tail = _spine(form)
-    new_items = list(items)
-    for i in range(skip, len(items)):
-        new_items[i] = _expand(items[i], table, cell)
-    if all(a is b for a, b in zip(new_items, items)):
-        return form
-    return _rebuild_spine(form, new_items, tail)
-
-
-def _expand_cond(form, table, cell):
-    items, tail = _spine(form)
-    new_items = list(items)
-    for i in range(1, len(items)):
-        clause = items[i]
-        if isinstance(clause, Pair):
-            new_items[i] = _expand_elements(clause, table, cell, skip=0)
-    if all(a is b for a, b in zip(new_items, items)):
-        return form
-    return _rebuild_spine(form, new_items, tail)
-
-
-def _expand_quasi(template, table, cell):
-    if isinstance(template, Pair):
-        head = template.car
-        if head is _S_QUASIQUOTE:
-            # Nested quasiquote is rejected later by core-form validation.
-            return template
-        if head in (_S_UNQUOTE, _S_UNQUOTE_SPLICING):
-            if (isinstance(template.cdr, Pair)
-                    and template.cdr.cdr is NIL):
-                expr = _expand(template.cdr.car, table, cell)
-                if expr is template.cdr.car:
-                    return template
-                return _rebuild_spine(template, [head, expr], NIL)
-            return template
-        new_car = _expand_quasi(template.car, table, cell)
-        new_cdr = _expand_quasi(template.cdr, table, cell)
-        if new_car is template.car and new_cdr is template.cdr:
-            return template
-        return _copy_pair(template, new_car, new_cdr)
-    if isinstance(template, list):
-        new_items = [_expand_quasi(item, table, cell) for item in template]
-        if all(a is b for a, b in zip(new_items, template)):
-            return template
-        return new_items
-    return template
-
-
-def _copy_pair(original, car, cdr):
-    if isinstance(original, SourcePair):
-        return SourcePair(car, cdr, original.loc)
-    return Pair(car, cdr)
-
-
-def _rebuild_spine(original, new_items, tail=NIL):
-    """Rebuild a list with `new_items`, keeping source positions per pair."""
-    originals = []
-    node = original
-    while isinstance(node, Pair):
-        originals.append(node)
-        node = node.cdr
-    result = tail
-    for i in range(len(new_items) - 1, -1, -1):
-        template_pair = originals[i] if i < len(originals) else None
-        if template_pair is not None:
-            result = _copy_pair(template_pair, new_items[i], result)
-        else:
-            result = Pair(new_items[i], result)
-    return result

@@ -449,11 +449,13 @@ def test_define_of_parameter_name_reuses_its_slot(machine):
 
 def test_deeply_nested_inline_form(machine):
     # guards against the compiler spending more host frames per nesting
-    # level: 250 levels fit under 100 frames of callers
+    # level, or per macro level: 250 levels fit under 100 frames of callers
     depth = 250
-    text = "(+ " * depth + "1" + " 1)" * depth
+    plus = "(+ " * depth + "1" + " 1)" * depth
+    lets = "(let ((x " * depth + "1" + ")) (+ x 1))" * depth
 
-    def under(frames):
-        return under(frames - 1) if frames else ev(machine, text)
+    def under(frames, text):
+        return under(frames - 1, text) if frames else ev(machine, text)
 
-    assert under(100) == depth + 1
+    assert under(100, plus) == depth + 1
+    assert under(100, lets) == depth + 1

@@ -1,11 +1,16 @@
+import io
+
 import pytest
 
 from helpers import AND_OR_MACROS, LET_HELPER_MACROS
 
-from ambit import equal, intern, read_all
-from ambit.errors import MacroError
+from ambit import Machine, equal, intern, read_all, write_value
+from ambit.errors import FormError, MacroError
+from ambit.forms import (
+    AppExpr, IfExpr, LambdaExpr, Literal, QuoteExpr, VarRef, parse_core,
+)
 from ambit.syntax import (
-    MacroClause, MacroTable, define_macro, expand, instantiate, match_pattern,
+    MacroClause, define_macro, expand, instantiate, match_pattern,
     parse_define_syntax,
 )
 
@@ -17,12 +22,30 @@ def datum(text):
 
 
 def table_with(*sources):
-    table = MacroTable()
+    table = {}
     for source in sources:
         for d in read_all(source):
             name, clauses = parse_define_syntax(d.value)
             define_macro(table, name, clauses)
     return table
+
+
+def show(core):
+    """Scheme text for the core forms these tests produce."""
+    if type(core) is VarRef:
+        return core.name.name
+    if type(core) is Literal:
+        return write_value(core.value)
+    if type(core) is QuoteExpr:
+        return f"(quote {write_value(core.datum)})"
+    if type(core) is IfExpr:
+        parts = [core.test, core.then] + ([core.alt] if core.alt else [])
+        return "(if " + " ".join(map(show, parts)) + ")"
+    if type(core) is LambdaExpr:
+        params = " ".join(p.name for p in core.params)
+        return f"(lambda ({params}) " + " ".join(map(show, core.body)) + ")"
+    assert type(core) is AppExpr
+    return "(" + " ".join(map(show, (core.op,) + core.args)) + ")"
 
 
 def test_match_or_pattern_binds_head_and_rest():
@@ -104,14 +127,14 @@ def test_match_instantiate_coherence():
 
 def test_define_macro_registers_clauses():
     table = table_with(AND_OR_MACROS)
-    assert len(table.lookup(intern("and"))) == 2
-    assert len(table.lookup(intern("or"))) == 2
+    assert len(table.get(intern("and"))) == 2
+    assert len(table.get(intern("or"))) == 2
 
 
 def test_define_macro_footnote_let_pair():
     table = table_with(LET_HELPER_MACROS)
-    assert table.lookup(intern("let")) is not None
-    assert table.lookup(intern("let-helper")) is not None
+    assert table.get(intern("let")) is not None
+    assert table.get(intern("let-helper")) is not None
 
 
 def test_redefinition_replaces_clauses():
@@ -119,29 +142,29 @@ def test_redefinition_replaces_clauses():
     for d in read_all("(define-syntax and [(and ?e) ?e])"):
         name, clauses = parse_define_syntax(d.value)
         define_macro(table, name, clauses)
-    assert len(table.lookup(intern("and"))) == 1
+    assert len(table.get(intern("and"))) == 1
 
 
 def test_reserved_special_forms_rejected():
     clause = MacroClause(datum("(if ?x)"), datum("?x"))
     with pytest.raises(MacroError):
-        define_macro(MacroTable(), intern("if"), [clause])
+        define_macro({}, intern("if"), [clause])
 
 
 def test_duplicate_pattern_variable_rejected():
     clause = MacroClause(datum("(m ?x ?x)"), datum("?x"))
     with pytest.raises(MacroError):
-        define_macro(MacroTable(), intern("m"), [clause])
+        define_macro({}, intern("m"), [clause])
 
 
 def test_template_variable_missing_from_pattern_rejected():
     clause = MacroClause(datum("(m ?x)"), datum("(?x ?y)"))
     with pytest.raises(MacroError):
-        define_macro(MacroTable(), intern("m"), [clause])
+        define_macro({}, intern("m"), [clause])
 
 
 def test_bad_clause_shapes_rejected():
-    table = MacroTable()
+    table = {}
     with pytest.raises(MacroError):
         define_macro(table, intern("m"),
                      [MacroClause(intern("m"), datum("1"))])
@@ -153,74 +176,92 @@ def test_bad_clause_shapes_rejected():
 
 
 def test_expand_or_to_nested_ifs():
+    # expand rewrites the head only; parse_core expands the rest in place
     table = table_with(AND_OR_MACROS)
-    expanded = expand(datum("(or a b c d)"), table)
-    assert equal(expanded, datum("(if a #t (if b #t (if c #t d)))"))
+    form = datum("(or a b c d)")
+    assert equal(expand(form, table), datum("(if a #t (or b c d))"))
+    assert show(parse_core(form, table)) == "(if a #t (if b #t (if c #t d)))"
 
 
 def test_expand_and_to_nested_ifs():
     table = table_with(AND_OR_MACROS)
-    expanded = expand(datum("(and a b c)"), table)
-    assert equal(expanded, datum("(if a (if b c #f) #f)"))
+    form = datum("(and a b c)")
+    assert equal(expand(form, table), datum("(if a (and b c) #f)"))
+    assert show(parse_core(form, table)) == "(if a (if b c #f) #f)"
 
 
 def test_expand_footnote_let_reverses_bindings():
     table = table_with(LET_HELPER_MACROS)
-    expanded = expand(datum("(let ((x 1) (y 2)) (+ x y))"), table)
-    assert equal(expanded, datum("((lambda (y x) (+ x y)) 2 1)"))
+    form = datum("(let ((x 1) (y 2)) (+ x y))")
+    assert equal(expand(form, table), datum("((lambda (y x) (+ x y)) 2 1)"))
+    assert show(parse_core(form, table)) == "((lambda (y x) (+ x y)) 2 1)"
 
 
 def test_expand_quote_is_opaque():
     table = table_with(AND_OR_MACROS)
     form = datum("(quote (or a b))")
-    assert expand(form, table) is form
+    core = parse_core(form, table)
+    assert type(core) is QuoteExpr and core.datum is form.cdr.car
 
 
 def test_expand_inside_quasiquote_only_under_unquote():
-    table = table_with(AND_OR_MACROS)
-    form = datum("`((or a b) ,(or a b))")
-    expanded = expand(form, table)
-    assert equal(expanded, datum("`((or a b) ,(if a #t b))"))
+    machine = Machine(stdout=io.StringIO())
+    machine.eval_source("(define-syntax m [(m ?x) (list ?x ?x)])")
+    value = machine.eval_source("`((m 1) ,(m 2) #((m 3) ,(m 4)))")
+    assert write_value(value) == "((m 1) (2 2) #((m 3) (4 4)))"
 
 
 def test_expand_nonmacro_form_unchanged():
     table = table_with(AND_OR_MACROS)
     form = datum("(f (g 1) 2)")
     assert expand(form, table) is form
+    assert show(parse_core(form, table)) == "(f (g 1) 2)"
 
 
 def test_expand_no_matching_clause_errors():
     table = table_with(AND_OR_MACROS)
     with pytest.raises(MacroError):
         expand(datum("(and)"), table)
+    with pytest.raises(MacroError, match="no matching clause"):
+        parse_core(datum("(f (lambda () (and)))"), table)
+
+
+def test_malformed_core_form_reported_before_a_later_expansion_error():
+    # macro uses are expanded in parse order, so the malformed `if` is the
+    # first error met, although its own test could not be expanded
+    table = table_with(AND_OR_MACROS)
+    with pytest.raises(FormError, match="malformed if"):
+        parse_core(datum("(if (and) 1 2 3)"), table)
 
 
 def test_expand_fuel_exhaustion():
     table = table_with("(define-syntax loop [(loop ?x) (loop ?x)])")
-    with pytest.raises(MacroError) as excinfo:
-        expand(datum("(loop 1)"), table, fuel=50)
-    assert "fuel" in str(excinfo.value)
+    for text in ("(loop 1)", "(f (loop 1))"):
+        with pytest.raises(MacroError) as excinfo:
+            parse_core(datum(text), table)
+        assert excinfo.value.label == "ExpansionError"
+        assert "fuel" in str(excinfo.value)
 
 
-def test_fuel_monotonicity():
-    table = table_with(AND_OR_MACROS)
-    baseline = None
-    for fuel in (6, 10, 100, 10_000):
-        expanded = expand(datum("(or a b c d e f)"), table, fuel=fuel)
-        if baseline is None:
-            baseline = expanded
-        else:
-            assert equal(expanded, baseline)
+def test_fuel_is_counted_per_macro_use():
+    # each `let` takes three expansions; 3400 of them in one form exceed a
+    # budget shared by the whole form, but not one per macro use
+    machine = Machine(stdout=io.StringIO())
+    assert machine.eval_source("(begin" + " (let () 1)" * 3400 + ")") == 1
 
 
 def test_expansion_is_deterministic():
     table = table_with(AND_OR_MACROS, LET_HELPER_MACROS)
-    one = expand(datum("(let ((a (or 1 2))) (and a a))"), table)
-    two = expand(datum("(let ((a (or 1 2))) (and a a))"), table)
-    assert equal(one, two)
+    text = "(let ((a (or 1 2))) (and a a))"
+    one = show(parse_core(datum(text), table))
+    two = show(parse_core(datum(text), table))
+    assert one == two == "((lambda (a) (if a a #f)) (if 1 #t 2))"
 
 
 def test_macro_in_operand_position_not_expanded():
     table = table_with("(define-syntax m [(m ?x) ?x])")
     form = datum("(f m 1)")
     assert expand(form, table) is form
+    core = parse_core(form, table)
+    assert type(core.args[0]) is VarRef and core.args[0].name is intern("m")
+    assert show(core) == "(f m 1)"
