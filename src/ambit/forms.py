@@ -17,12 +17,15 @@ an enclosing lambda becomes a (depth, index) pair: the frame `depth` links
 out, slot `index`.  Any other name is global and is read by symbol from the
 machine's global table at run time, so later definitions are seen.  The
 addresses are filled in once the whole top-level form is parsed, so a
-reference may precede the body `define` it names.
+reference may precede the body `define` it names.  Then an application whose
+operator is a global bound to a pure primitive, and whose operands are all
+computed inline, is marked with that primitive (`AppExpr.prim`); the machine
+computes it inline while the global still holds that primitive.
 """
 
 from . import syntax
 from .errors import FormError
-from .values import NIL, VOID, Pair, SourcePair, Symbol, intern
+from .values import NIL, VOID, Pair, Primitive, SourcePair, Symbol, intern
 from .writer import write_value
 
 
@@ -103,7 +106,10 @@ class BeginExpr:
 
 
 class AppExpr:
-    __slots__ = ("op", "args", "op_name", "line", "col", "source")
+    """`prim` is the pure primitive the operator's global held when the form
+    was parsed, if the application can be computed inline; else None."""
+
+    __slots__ = ("op", "args", "op_name", "line", "col", "source", "prim")
 
     def __init__(self, op, args, op_name, line, col, source):
         self.op = op
@@ -112,6 +118,7 @@ class AppExpr:
         self.line = line
         self.col = col
         self.source = source
+        self.prim = None
 
 
 class AndExpr:
@@ -230,25 +237,29 @@ class _Scope:
     """Compile-time frame: each name a lambda binds, mapped to its slot.
 
     The top-level scope has no slots.  All scopes of one top-level form share
-    its macro table, its source name and the list of (VarRef, scope) pairs
-    still to resolve.
+    its macro table, its source name, the list of (VarRef, scope) pairs
+    still to resolve and the list of applications with a named operator,
+    each after the applications among its operands.
     """
 
-    __slots__ = ("slots", "parent", "refs", "macros", "source")
+    __slots__ = ("slots", "parent", "refs", "apps", "macros", "source")
 
-    def __init__(self, slots, parent, refs, macros, source):
+    def __init__(self, slots, parent, refs, apps, macros, source):
         self.slots = slots
         self.parent = parent
         self.refs = refs
+        self.apps = apps
         self.macros = macros
         self.source = source
 
 
-def parse_core(form, macros, source="<input>"):
+def parse_core(form, macros, source="<input>", global_table=None):
     """Expand the macro uses in one datum, validate it, compile it to a core
     form, and give each of its variables a lexical address.  `macros` maps
-    each macro name to its clauses (see `syntax`)."""
-    top = _Scope(None, None, [], macros, source)
+    each macro name to its clauses (see `syntax`); with the machine's
+    `global_table`, the applications that can be computed inline are
+    marked."""
+    top = _Scope(None, None, [], [], macros, source)
     core = _parse(form, top)
     for ref, scope in top.refs:
         depth = 0
@@ -260,7 +271,26 @@ def parse_core(form, macros, source="<input>"):
                 break
             scope = scope.parent
             depth += 1
+    if global_table is not None:
+        for app in top.apps:
+            prim = global_table.get(app.op.name)
+            if (type(prim) is Primitive and prim.pure
+                    and app.op.index is None):
+                _mark_inline(app, prim)
     return core
+
+
+def _mark_inline(app, prim):
+    na = len(app.args)
+    if na < prim.min_args or (prim.max_args is not None
+                              and na > prim.max_args):
+        return
+    for arg in app.args:
+        t = type(arg)
+        if not (t is VarRef or t is Literal or t is QuoteExpr
+                or t is LambdaExpr or t is AppExpr and arg.prim is not None):
+            return
+    app.prim = prim
 
 
 def _parse(form, scope):
@@ -324,7 +354,8 @@ def _parse_pair(form, scope):
             params, rest = _parse_params(form, items[1])
             names = params if rest is None else params + (rest,)
             inner = _Scope({name: i for i, name in enumerate(names, 1)},
-                           scope, scope.refs, scope.macros, scope.source)
+                           scope, scope.refs, scope.apps, scope.macros,
+                           scope.source)
             body = tuple(_parse(b, inner) for b in items[2:])
             return LambdaExpr(params, rest, body,
                               len(inner.slots) - len(names))
@@ -350,9 +381,12 @@ def _parse_pair(form, scope):
             raise _bad(form, "define-syntax is only allowed at top level")
     op = _parse(head, scope)
     args = tuple(_parse(a, scope) for a in items[1:])
-    op_name = op.name.name if type(op) is VarRef else None
     line, col = _loc(form)
-    return AppExpr(op, args, op_name, line, col, scope.source)
+    if type(op) is not VarRef:
+        return AppExpr(op, args, None, line, col, scope.source)
+    app = AppExpr(op, args, op.name.name, line, col, scope.source)
+    scope.apps.append(app)
+    return app
 
 
 def _parse_params(form, params):

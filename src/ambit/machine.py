@@ -2,10 +2,9 @@
 
 Evaluation is driven by a single loop that repeatedly invokes the handler
 designated by the `pc` register.  Handlers only test and assign registers
-and never call one another, so host call depth stays constant no matter how
-deeply the interpreted program recurses.  Continuations are immutable
-tagged records (`Cont`), and the fail register holds a chain of choice
-points that implements chronological backtracking for `choose`.
+and never call one another.  Continuations are immutable tagged records
+(`Cont`), and the fail register holds a chain of choice points that
+implements chronological backtracking for `choose`.
 
 Variables arrive resolved by `forms`: a local is slot `index` of the frame
 `depth` links out from `env_reg`, where a frame is a list whose slot 0 is
@@ -14,12 +13,20 @@ plain dict, each time, so redefinitions are seen.  A body `define`'s slot
 holds UNASSIGNED until the `define` runs, and reading it earlier is an
 unbound-variable error.
 
-Two flavors of shortcut keep the dispatch loop fast without changing
-semantics: forms with no observable evaluation steps (variables, literals,
-quotes, lambdas, and applications of pure primitives to such forms) are
-computed inline, and `if` chains with inline-computable tests are collapsed
-before control returns to the trampoline.  Both are plain register updates;
-neither recurses with the interpreted program.
+Each core form evaluates itself: this module gives every node class of
+`forms` a `run(m, env, k)` method, which evaluates the form toward `k`, and
+a `val(m, env)` method, which returns the form's value when it has no
+observable evaluation steps and `_STEP` when it needs the machine.
+Variables, literals, quotes and lambdas are computed inline, and so is an
+application `forms` marked as a pure primitive's while the operator's
+global still holds that primitive; a redefined `+` takes the stepped path.
+A `run` descends only into the subforms of its own form, and follows the
+chain of ifs a `cond` becomes in a loop.  Entering a closure body
+(`apply_proc`), delivering to a continuation (`apply_cont`) and resuming a
+choice point (`invoke_fail`) only assign registers and return to the
+trampoline, so host call depth grows only with the nesting that
+`parse_core` itself recursed through, however deeply the interpreted
+program recurses.
 """
 
 import sys
@@ -42,7 +49,6 @@ from .writer import write_value
 NO_MORE_CHOICES = "no more choices"
 
 _S_DEFINE_SYNTAX = intern("define-syntax")
-_NOT_ATOMIC = object()
 
 
 class Machine:
@@ -108,8 +114,10 @@ class Machine:
                 name, clauses = syntax.parse_define_syntax(form)
                 syntax.define_macro(self.macros, name, clauses)
                 return VOID
-            _goto_exp(self, parse_core(form, self.macros, source), None,
-                      self.halt)
+            self.exp_reg = parse_core(form, self.macros, source, self.globals)
+            self.env_reg = None
+            self.k_reg = self.halt
+            self.pc = _run
             return self.trampoline()
         except Exception as err:
             self.fail_reg = saved_fail
@@ -146,199 +154,159 @@ def _halt(m):
     m.pc = None
 
 
-def _eval_simple(m, form, env):
-    """Value of a form the machine may evaluate inline, else a sentinel.
-
-    Variable reads, literals, quotes, and closure creation have no
-    observable evaluation steps.  Applications of pure primitives to simple
-    operands also qualify: the attempt bails out (before anything impure can
-    run) whenever a subform needs the machine, and the normal stepped path
-    re-evaluates from the start with identical results.
-    """
-    t = type(form)
-    if t is VarRef:
-        index = form.index
-        if index is None:
-            value = m.globals.get(form.name, UNASSIGNED)
-        else:
-            depth = form.depth
-            while depth:
-                env = env[0]
-                depth -= 1
-            value = env[index]
-        if value is UNASSIGNED:
-            raise EvalError("UnboundVariable", form.name.name)
-        return value
-    if t is Literal:
-        return form.value
-    if t is AppExpr:
-        op = form.op
-        if type(op) is not VarRef:
-            return _NOT_ATOMIC
-        if op.index is None:
-            # an unbound global is reported by the stepped path
-            proc = m.globals.get(op.name)
-        else:
-            proc = _eval_simple(m, op, env)
-        if type(proc) is not Primitive or not proc.pure:
-            return _NOT_ATOMIC
-        values = ()
-        for arg in form.args:
-            ta = type(arg)
-            if ta is VarRef:
-                index = arg.index
-                if index is None:
-                    value = m.globals.get(arg.name, UNASSIGNED)
-                else:
-                    frame = env
-                    depth = arg.depth
-                    while depth:
-                        frame = frame[0]
-                        depth -= 1
-                    value = frame[index]
-                if value is UNASSIGNED:
-                    raise EvalError("UnboundVariable", arg.name.name)
-            elif ta is Literal:
-                value = arg.value
-            else:
-                value = _eval_simple(m, arg, env)
-                if value is _NOT_ATOMIC:
-                    return _NOT_ATOMIC
-            values += (value,)
-        na = len(values)
-        if na < proc.min_args or (proc.max_args is not None
-                                  and na > proc.max_args):
-            _raise_arity(proc, na)
-        return proc.fn(m, values)
-    if t is QuoteExpr:
-        return form.datum
-    if t is LambdaExpr:
-        return Closure(form, env)
-    return _NOT_ATOMIC
+def _run(m):
+    """Evaluate `exp_reg` in `env_reg` toward `k_reg`."""
+    m.exp_reg.run(m, m.env_reg, m.k_reg)
 
 
-def _goto_exp(m, exp, env, k):
-    """Transfer control to evaluating `exp` toward `k`.
+# what `val` gives for a form that needs the machine
+_STEP = object()
 
-    Collapses `if` chains whose tests compute inline and delivers variable,
-    literal, quote, and closure values directly, saving trampoline bounces;
-    everything else goes to step_eval.  Pure register updates, bounded by
-    the static nesting of the form.
-    """
-    t = type(exp)
-    while t is IfExpr:
-        test = _eval_simple(m, exp.test, env)
-        if test is _NOT_ATOMIC:
-            # the test needs the machine; the branch is picked by cont_if
-            m.exp_reg = exp.test
-            m.env_reg = env
-            m.k_reg = m.make_cont(cont_if, exp, env, k)
-            m.pc = step_eval
+
+def _step(exp, m, env):
+    return _STEP
+
+
+def _deliver(exp, m, env, k):
+    apply_cont(m, k, exp.val(m, env))
+
+
+def _var_val(ref, m, env):
+    index = ref.index
+    if index is None:
+        value = m.globals.get(ref.name, UNASSIGNED)
+    else:
+        depth = ref.depth
+        while depth:
+            env = env[0]
+            depth -= 1
+        value = env[index]
+    if value is UNASSIGNED:
+        raise EvalError("UnboundVariable", ref.name.name)
+    return value
+
+
+VarRef.val = _var_val
+VarRef.run = _deliver
+Literal.val = lambda lit, m, env: lit.value
+Literal.run = lambda lit, m, env, k: apply_cont(m, k, lit.value)
+QuoteExpr.val = lambda quote, m, env: quote.datum
+QuoteExpr.run = lambda quote, m, env, k: apply_cont(m, k, quote.datum)
+LambdaExpr.val = lambda lam, m, env: Closure(lam, env)
+LambdaExpr.run = _deliver
+for _cls in (IfExpr, DefineExpr, SetExpr, BeginExpr, AndExpr, OrExpr,
+             CallccExpr, ChooseExpr, QuasiExpr):
+    _cls.val = _step
+
+
+def _app_val(app, m, env):
+    """A marked application of a pure primitive, while its operator's
+    global still holds that primitive.  Its operands are marked inline too,
+    so only a rebound operator nested among them can make this give up,
+    after which the stepped path computes those operands again.  Most
+    primitive calls take one or two operands, which are computed without
+    building the tuple one operand at a time."""
+    prim = app.prim
+    if prim is None or m.globals.get(app.op.name) is not prim:
+        return _STEP
+    operands = app.args
+    if len(operands) == 1:
+        a = operands[0].val(m, env)
+        return _STEP if a is _STEP else prim.fn(m, (a,))
+    if len(operands) == 2:
+        a = operands[0].val(m, env)
+        if a is _STEP:
+            return _STEP
+        b = operands[1].val(m, env)
+        return _STEP if b is _STEP else prim.fn(m, (a, b))
+    args = ()
+    for arg in operands:
+        value = arg.val(m, env)
+        if value is _STEP:
+            return _STEP
+        args += (value,)
+    return prim.fn(m, args)
+
+
+def _app_run(app, m, env, k):
+    op = app.op
+    proc = op.val(m, env)
+    if proc is _STEP:
+        op.run(m, env, m.make_cont(cont_operator, app, env, k))
+    else:
+        _eval_operands(m, proc, app, 0, (), env, k)
+
+
+AppExpr.val = _app_val
+AppExpr.run = _app_run
+
+
+def cont_operator(m):
+    app, env, k = m.fields_reg
+    _eval_operands(m, m.value_reg, app, 0, (), env, k)
+
+
+def cont_operand(m):
+    proc, app, i, acc, env, k = m.fields_reg
+    acc += (m.value_reg,)
+    if i == len(app.args):
+        apply_proc(m, proc, acc, k, app)
+    else:
+        _eval_operands(m, proc, app, i, acc, env, k)
+
+
+def _eval_operands(m, proc, app, i, acc, env, k):
+    """Evaluate remaining operands left to right, then apply."""
+    args = app.args
+    n = len(args)
+    while i < n:
+        arg = args[i]
+        value = arg.val(m, env)
+        if value is _STEP:
+            arg.run(m, env, m.make_cont(cont_operand, proc, app, i + 1, acc,
+                                        env, k))
             return
-        if test is not False:
-            exp = exp.then
-        elif exp.alt is None:
-            apply_cont(m, k, VOID)
-            return
-        else:
-            exp = exp.alt
-        t = type(exp)
-    if t is VarRef or t is Literal or t is QuoteExpr or t is LambdaExpr:
-        apply_cont(m, k, _eval_simple(m, exp, env))
-        return
-    m.exp_reg = exp
-    m.env_reg = env
-    m.k_reg = k
-    m.pc = step_eval
+        acc += (value,)
+        i += 1
+    apply_proc(m, proc, acc, k, app)
 
 
-def step_eval(m):
-    """Dispatch on a compound form: evaluates `exp_reg` in `env_reg` toward
-    `k_reg`.  Atomic forms never get here; `_goto_exp` delivers them."""
-    exp = m.exp_reg
-    t = type(exp)
-    if t is AppExpr:
-        env = m.env_reg
-        op = exp.op
-        if type(op) is VarRef:
-            index = op.index
-            if index is None:
-                proc = m.globals.get(op.name, UNASSIGNED)
-            else:
-                frame = env
-                depth = op.depth
-                while depth:
-                    frame = frame[0]
-                    depth -= 1
-                proc = frame[index]
-            if proc is UNASSIGNED:
-                raise EvalError("UnboundVariable", op.name.name)
-        else:
-            proc = _eval_simple(m, op, env)
-            if proc is _NOT_ATOMIC:
-                m.exp_reg = op
-                m.k_reg = m.make_cont(cont_operator, exp, env, m.k_reg)
-                return
-        _eval_operands(m, proc, exp, 0, (), env, m.k_reg)
-        return
-    if t is IfExpr:
-        _goto_exp(m, exp, m.env_reg, m.k_reg)
-        return
-    if t is BeginExpr:
-        _eval_body(m, exp.body, m.env_reg, m.k_reg)
-        return
-    if t is DefineExpr:
-        env = m.env_reg
-        value = _eval_simple(m, exp.expr, env)
-        if value is _NOT_ATOMIC:
-            m.exp_reg = exp.expr
-            m.k_reg = m.make_cont(cont_define, exp, env, m.k_reg)
+# the branch an `if` without an alternative takes when its test is false
+_NO_ALT = Literal(VOID)
+
+
+def _if_run(exp, m, env, k):
+    """`parse_core` builds a `cond`'s clauses into a chain of ifs in a loop,
+    not by recursion, so the chain is followed in a loop too."""
+    while True:
+        test = exp.test.val(m, env)
+        if test is _STEP:
+            exp.test.run(m, env, m.make_cont(cont_if, exp, env, k))
             return
-        _finish_define(m, exp, value, env, m.k_reg)
-        return
-    if t is SetExpr:
-        env = m.env_reg
-        value = _eval_simple(m, exp.expr, env)
-        if value is _NOT_ATOMIC:
-            m.exp_reg = exp.expr
-            m.k_reg = m.make_cont(cont_set, exp.target, env, m.k_reg)
+        exp = exp.then if test is not False else exp.alt or _NO_ALT
+        if type(exp) is not IfExpr:
+            exp.run(m, env, k)
             return
-        _assign(m, exp.target, env, value)
-        apply_cont(m, m.k_reg, VOID)
-        return
-    if t is AndExpr:
-        _eval_and_or(m, exp.exprs, m.env_reg, m.k_reg, cont_and, True)
-        return
-    if t is OrExpr:
-        _eval_and_or(m, exp.exprs, m.env_reg, m.k_reg, cont_or, False)
-        return
-    if t is CallccExpr:
-        k = m.k_reg
-        proc = _eval_simple(m, exp.expr, m.env_reg)
-        if proc is _NOT_ATOMIC:
-            m.exp_reg = exp.expr
-            m.k_reg = m.make_cont(cont_callcc, k)
-            return
-        apply_proc(m, proc, (k,), k)
-        return
-    if t is ChooseExpr:
-        eval_choose(m, exp.exprs, m.env_reg, m.k_reg)
-        return
-    if t is QuasiExpr:
-        m.exp_reg = exp.root
-        m.pc = step_qq
-        return
-    raise EvalError("InternalError", f"unknown core form {exp!r}")
+
+
+IfExpr.run = _if_run
 
 
 def cont_if(m):
     exp, env, k = m.fields_reg
-    if m.value_reg is not False:
-        _goto_exp(m, exp.then, env, k)
-    elif exp.alt is None:
-        apply_cont(m, k, VOID)
+    branch = exp.then if m.value_reg is not False else exp.alt or _NO_ALT
+    branch.run(m, env, k)
+
+
+def _define_run(exp, m, env, k):
+    value = exp.expr.val(m, env)
+    if value is _STEP:
+        exp.expr.run(m, env, m.make_cont(cont_define, exp, env, k))
     else:
-        _goto_exp(m, exp.alt, env, k)
+        _finish_define(m, exp, value, env, k)
+
+
+DefineExpr.run = _define_run
 
 
 def _finish_define(m, exp, value, env, k):
@@ -355,6 +323,18 @@ def _finish_define(m, exp, value, env, k):
 def cont_define(m):
     exp, env, k = m.fields_reg
     _finish_define(m, exp, m.value_reg, env, k)
+
+
+def _set_run(exp, m, env, k):
+    value = exp.expr.val(m, env)
+    if value is _STEP:
+        exp.expr.run(m, env, m.make_cont(cont_set, exp.target, env, k))
+    else:
+        _assign(m, exp.target, env, value)
+        apply_cont(m, k, VOID)
+
+
+SetExpr.run = _set_run
 
 
 def _assign(m, ref, env, value):
@@ -380,32 +360,36 @@ def cont_set(m):
     apply_cont(m, k, VOID)
 
 
-def _eval_body(m, body, env, k):
-    """Evaluate a non-empty form sequence; the last form is in tail position."""
-    if len(body) == 1:
-        _goto_exp(m, body[0], env, k)
-    else:
-        _goto_exp(m, body[0], env,
-                  m.make_cont(cont_begin, body, 1, env, k))
+def _begin_run(exp, m, env, k):
+    # parse_core gives a BeginExpr two forms or more
+    body = exp.body
+    body[0].run(m, env, m.make_cont(cont_begin, body, 1, env, k))
+
+
+BeginExpr.run = _begin_run
 
 
 def cont_begin(m):
     body, i, env, k = m.fields_reg
     if i == len(body) - 1:
-        _goto_exp(m, body[i], env, k)
+        body[i].run(m, env, k)
     else:
-        _goto_exp(m, body[i], env,
-                  m.make_cont(cont_begin, body, i + 1, env, k))
+        body[i].run(m, env, m.make_cont(cont_begin, body, i + 1, env, k))
 
 
 def _eval_and_or(m, exprs, env, k, cont_label, empty_value):
     if not exprs:
         apply_cont(m, k, empty_value)
     elif len(exprs) == 1:
-        _goto_exp(m, exprs[0], env, k)
+        exprs[0].run(m, env, k)
     else:
-        _goto_exp(m, exprs[0], env,
-                  m.make_cont(cont_label, exprs, 1, env, k))
+        exprs[0].run(m, env, m.make_cont(cont_label, exprs, 1, env, k))
+
+
+AndExpr.run = lambda exp, m, env, k: _eval_and_or(m, exp.exprs, env, k,
+                                                  cont_and, True)
+OrExpr.run = lambda exp, m, env, k: _eval_and_or(m, exp.exprs, env, k,
+                                                 cont_or, False)
 
 
 def cont_and(m):
@@ -414,10 +398,9 @@ def cont_and(m):
     if value is False:
         apply_cont(m, k, value)
     elif i == len(exprs) - 1:
-        _goto_exp(m, exprs[i], env, k)
+        exprs[i].run(m, env, k)
     else:
-        _goto_exp(m, exprs[i], env,
-                  m.make_cont(cont_and, exprs, i + 1, env, k))
+        exprs[i].run(m, env, m.make_cont(cont_and, exprs, i + 1, env, k))
 
 
 def cont_or(m):
@@ -426,58 +409,20 @@ def cont_or(m):
     if value is not False:
         apply_cont(m, k, value)
     elif i == len(exprs) - 1:
-        _goto_exp(m, exprs[i], env, k)
+        exprs[i].run(m, env, k)
     else:
-        _goto_exp(m, exprs[i], env,
-                  m.make_cont(cont_or, exprs, i + 1, env, k))
+        exprs[i].run(m, env, m.make_cont(cont_or, exprs, i + 1, env, k))
 
 
-def cont_operator(m):
-    app, env, k = m.fields_reg
-    _eval_operands(m, m.value_reg, app, 0, (), env, k)
+def _callcc_run(exp, m, env, k):
+    proc = exp.expr.val(m, env)
+    if proc is _STEP:
+        exp.expr.run(m, env, m.make_cont(cont_callcc, k))
+    else:
+        apply_proc(m, proc, (k,), k)
 
 
-def cont_operand(m):
-    proc, app, i, acc, env, k = m.fields_reg
-    _eval_operands(m, proc, app, i, acc + (m.value_reg,), env, k)
-
-
-def _eval_operands(m, proc, app, i, acc, env, k):
-    """Evaluate remaining operands left to right, then apply."""
-    args = app.args
-    n = len(args)
-    while i < n:
-        arg = args[i]
-        ta = type(arg)
-        if ta is VarRef:
-            index = arg.index
-            if index is None:
-                value = m.globals.get(arg.name, UNASSIGNED)
-            else:
-                frame = env
-                depth = arg.depth
-                while depth:
-                    frame = frame[0]
-                    depth -= 1
-                value = frame[index]
-            if value is UNASSIGNED:
-                raise EvalError("UnboundVariable", arg.name.name)
-        elif ta is Literal:
-            value = arg.value
-        elif ta is LambdaExpr:
-            value = Closure(arg, env)
-        else:
-            value = _eval_simple(m, arg, env)
-            if value is _NOT_ATOMIC:
-                m.exp_reg = arg
-                m.env_reg = env
-                m.k_reg = m.make_cont(cont_operand, proc, app, i + 1, acc,
-                                      env, k)
-                m.pc = step_eval
-                return
-        acc = acc + (value,)
-        i += 1
-    apply_proc(m, proc, acc, k, app)
+CallccExpr.run = _callcc_run
 
 
 def cont_callcc(m):
@@ -499,7 +444,8 @@ def _raise_arity(proc, na):
 def apply_proc(m, proc, args, k, app=None):
     """Apply closure, primitive, or continuation to already-evaluated args.
 
-    This is the only place a closure is entered.  Tail calls happen here:
+    This is the only place a closure is entered, and the body starts from
+    the trampoline rather than from here.  Tail calls happen here:
     the callee runs toward the caller's `k`, so the continuation chain does
     not grow for calls in tail position.  The callee's trace frame goes on
     top of `k`'s spine rather than the current one, so a tail call replaces
@@ -542,11 +488,12 @@ def apply_proc(m, proc, args, k, app=None):
             if depth > trace.high_water:
                 trace.high_water = depth
         body = lam.body
-        if len(body) == 1:
-            _goto_exp(m, body[0], env, k)
-        else:
-            _goto_exp(m, body[0], env,
-                      m.make_cont(cont_begin, body, 1, env, k))
+        if len(body) > 1:
+            k = m.make_cont(cont_begin, body, 1, env, k)
+        m.exp_reg = body[0]
+        m.env_reg = env
+        m.k_reg = k
+        m.pc = _run
         return
     if t is Primitive:
         na = len(args)
@@ -575,14 +522,18 @@ def _proc_label(proc, app):
     return "#<procedure>"
 
 
-def eval_choose(m, alternatives, env, k):
+def _choose_run(exp, m, env, k):
     """Evaluate the first alternative, saving the rest as a choice point."""
+    alternatives = exp.exprs
     if not alternatives:
         invoke_fail(m)
         return
     m.fail_reg = ChoicePoint(alternatives[1:], env, k, m.fail_reg,
                              m.trace.snapshot())
-    _goto_exp(m, alternatives[0], env, k)
+    alternatives[0].run(m, env, k)
+
+
+ChooseExpr.run = _choose_run
 
 
 def invoke_fail(m):
@@ -601,45 +552,33 @@ def invoke_fail(m):
     alternatives = f.alternatives
     m.fail_reg = ChoicePoint(alternatives[1:], f.env, f.k, f.parent, f.spine)
     m.trace.restore(f.spine)
-    _goto_exp(m, alternatives[0], f.env, f.k)
+    m.exp_reg = alternatives[0]
+    m.env_reg = f.env
+    m.k_reg = f.k
+    m.pc = _run
 
 
-def step_qq(m):
-    """Quasiquote template walker; `exp_reg` holds a compiled QQ node."""
-    node = m.exp_reg
-    t = type(node)
-    if t is QQConst:
-        apply_cont(m, m.k_reg, node.datum)
-        return
-    if t is QQUnquote:
-        _goto_exp(m, node.form, m.env_reg, m.k_reg)
-        return
-    if t is QQPair:
-        env = m.env_reg
-        k = m.k_reg
-        car_node = node.car
-        if type(car_node) is QQSplice:
-            _goto_exp(m, car_node.form, env,
-                      m.make_cont(cont_qq_splice, node.cdr, env, k))
-        else:
-            m.exp_reg = car_node
-            m.k_reg = m.make_cont(cont_qq_car, node.cdr, env, k)
-            m.pc = step_qq
-        return
-    if t is QQVector:
-        m.exp_reg = node.items
-        m.k_reg = m.make_cont(cont_qq_vector, m.k_reg)
-        m.pc = step_qq
-        return
-    raise EvalError("InternalError", f"unknown quasiquote node {node!r}")
+QuasiExpr.run = lambda exp, m, env, k: exp.root.run(m, env, k)
+QQConst.run = lambda node, m, env, k: apply_cont(m, k, node.datum)
+QQUnquote.run = lambda node, m, env, k: node.form.run(m, env, k)
+
+
+def _qq_pair_run(node, m, env, k):
+    car = node.car
+    if type(car) is QQSplice:
+        car.form.run(m, env, m.make_cont(cont_qq_splice, node.cdr, env, k))
+    else:
+        car.run(m, env, m.make_cont(cont_qq_car, node.cdr, env, k))
+
+
+QQPair.run = _qq_pair_run
+QQVector.run = lambda node, m, env, k: node.items.run(
+    m, env, m.make_cont(cont_qq_vector, k))
 
 
 def cont_qq_car(m):
     cdr_node, env, k = m.fields_reg
-    m.exp_reg = cdr_node
-    m.env_reg = env
-    m.k_reg = m.make_cont(cont_qq_cons, m.value_reg, k)
-    m.pc = step_qq
+    cdr_node.run(m, env, m.make_cont(cont_qq_cons, m.value_reg, k))
 
 
 def cont_qq_cons(m):
@@ -653,10 +592,7 @@ def cont_qq_splice(m):
     if not is_proper_list(spliced):
         raise EvalError("unquote-splicing",
                         f"expected a proper list, got {write_value(spliced)}")
-    m.exp_reg = cdr_node
-    m.env_reg = env
-    m.k_reg = m.make_cont(cont_qq_append, spliced, k)
-    m.pc = step_qq
+    cdr_node.run(m, env, m.make_cont(cont_qq_append, spliced, k))
 
 
 def cont_qq_append(m):

@@ -459,3 +459,73 @@ def test_deeply_nested_inline_form(machine):
 
     assert under(100, plus) == depth + 1
     assert under(100, lets) == depth + 1
+
+
+# --- forms that evaluate themselves -------------------------------------------
+
+
+def test_inline_operand_work_is_not_redone(machine):
+    # an application is computed inline only when every operand can be, so
+    # (car '(1)) is not computed once inline and again by the stepped path
+    from ambit.values import intern
+
+    car = machine.globals[intern("car")]
+    calls = []
+    original = car.fn
+
+    def counted(m, args):
+        calls.append(args)
+        return original(m, args)
+
+    car.fn = counted
+    ev(machine, "(define f (lambda (x) x))")
+    assert ev(machine, "(if (= (car '(1)) (f 1)) 'a 'b)").name == "a"
+    assert len(calls) == 1
+    assert write_value(ev(machine, "(list (+ (car '(1)) (f 1)))")) == "(2)"
+    assert len(calls) == 2
+
+
+def test_rebinding_a_primitive_to_another_is_seen(machine):
+    ev(machine, "(define g (lambda (x) (+ x 1)))")
+    assert ev(machine, "(g 5)") == 6
+    ev(machine, "(define + -)")
+    assert ev(machine, "(g 5)") == 4
+
+
+def test_caller_parsed_before_its_operator_became_a_primitive(machine):
+    ev(machine, "(define h (lambda () (myneg 5)))")
+    ev(machine, "(define myneg -)")
+    assert ev(machine, "(h)") == -5
+
+
+def test_parameter_named_like_a_primitive_in_operator_position(machine):
+    assert ev(machine,
+              "((lambda (car) (car 1)) (lambda (x) (* x 10)))") == 10
+
+
+def test_evaluation_adds_no_nesting_limit_below_the_parser():
+    from helpers import run_on_small_stack
+
+    def work():
+        m = Machine(stdout=io.StringIO())
+        m.eval_source("(define f (lambda (x) (+ x 1)))")
+        calls = "(f " * 320 + "0" + ")" * 320
+        ifs = "(if " * 320 + "#t" + " 1 2)" * 320
+        plus = "(+ " * 320 + "1" + " 1)" * 320
+        lets = "(let ((x " * 190 + "1" + ")) (+ x 1))" * 190
+        return [m.eval_source(text) for text in (calls, ifs, plus, lets)]
+
+    assert run_on_small_stack(work) == [320, 1, 321, 191]
+
+
+def test_long_cond_chain_costs_no_host_depth(machine):
+    # parse_core builds a cond's clauses into a chain of ifs in a loop, so
+    # following the chain must not recurse once per clause either
+    clauses = " ".join(f"((eq? x 'k{i}) {i})" for i in range(1, 2001))
+    ev(machine, "(define no (lambda (x) #f))")
+    ev(machine, f"(define pick (lambda (x) (cond ((no x) 0) {clauses})))")
+    assert ev(machine, "(pick 'k2000)") == 2000
+    assert ev(machine, "(pick 'k1)") == 1
+    assert ev(machine, "(pick 'z)") is VOID
+    ev(machine, "(define x 'k1999)")
+    assert ev(machine, f"(cond {clauses})") == 1999
