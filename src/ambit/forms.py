@@ -9,6 +9,16 @@ them, and only in the positions this module parses as expressions.  `cond`
 is lowered into if/or/begin here; `and` and `or` stay as dedicated nodes so
 they can deliver the deciding value without introducing temporaries.
 
+A quasiquote template is lowered to quotes and applications (R7RS 4.2.8):
+a constant part becomes one quote, so the constant tail after a list's last
+dynamic item is shared by every evaluation, and each list or vector level
+with a dynamic part becomes one application whose operands are the level's
+items (then the tail, for a list), evaluated left to right like any other
+operands.  Its operator is a literal primitive that no global names, so
+redefining `cons` or `list` cannot reach it.  A `,@` operand is wrapped in
+a one-operand application that checks its value is a proper list as soon
+as it arrives, before any later part of the template runs.
+
 Every variable is resolved here, once, by lexical addressing (SICP 5.5.6).
 A lambda's frame at run time is a list: slot 0 holds the enclosing frame,
 then come its parameters, then one slot for each name a `define` in its body
@@ -24,8 +34,11 @@ computes it inline while the global still holds that primitive.
 """
 
 from . import syntax
-from .errors import FormError
-from .values import NIL, VOID, Pair, Primitive, SourcePair, Symbol, intern
+from .errors import EvalError, FormError
+from .values import (
+    NIL, VOID, Pair, Primitive, SourcePair, Symbol, intern, is_proper_list,
+    list_from, to_pylist,
+)
 from .writer import write_value
 
 
@@ -149,50 +162,6 @@ class ChooseExpr:
         self.exprs = exprs
 
 
-class QuasiExpr:
-    __slots__ = ("root",)
-
-    def __init__(self, root):
-        self.root = root
-
-
-# Compiled quasiquote template nodes.
-class QQConst:
-    __slots__ = ("datum",)
-
-    def __init__(self, datum):
-        self.datum = datum
-
-
-class QQUnquote:
-    __slots__ = ("form",)
-
-    def __init__(self, form):
-        self.form = form
-
-
-class QQSplice:
-    __slots__ = ("form",)
-
-    def __init__(self, form):
-        self.form = form
-
-
-class QQPair:
-    __slots__ = ("car", "cdr")
-
-    def __init__(self, car, cdr):
-        self.car = car
-        self.cdr = cdr
-
-
-class QQVector:
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = items
-
-
 _S_QUOTE = intern("quote")
 _S_QUASIQUOTE = intern("quasiquote")
 _S_UNQUOTE = intern("unquote")
@@ -271,6 +240,9 @@ def parse_core(form, macros, source="<input>", global_table=None):
                 break
             scope = scope.parent
             depth += 1
+    # each pair holds a scope and every scope holds this list: emptying it
+    # lets reference counting free the scopes
+    top.refs.clear()
     if global_table is not None:
         for app in top.apps:
             prim = global_table.get(app.op.name)
@@ -324,8 +296,7 @@ def _parse_pair(form, scope):
         if head is _S_QUASIQUOTE:
             if len(items) != 2:
                 raise _bad(form, "malformed quasiquote")
-            root, _ = _compile_qq(items[1], scope)
-            return QuasiExpr(root)
+            return _lower_qq(items[1], scope)[0]
         if head is _S_UNQUOTE or head is _S_UNQUOTE_SPLICING:
             raise _bad(form, f"{head.name} outside quasiquote")
         if head is _S_IF:
@@ -439,46 +410,91 @@ def _body_expr(body):
     return body[0] if len(body) == 1 else BeginExpr(body)
 
 
-def _compile_qq(template, scope):
-    """Compile a quasiquote template; returns (node, is_dynamic)."""
-    if isinstance(template, Pair):
-        head = template.car
-        if head is _S_QUASIQUOTE:
-            raise _bad(template, "nested quasiquote is not supported")
-        if head is _S_UNQUOTE:
-            if not (isinstance(template.cdr, Pair)
-                    and template.cdr.cdr is NIL):
-                raise _bad(template, "malformed unquote")
-            return QQUnquote(_parse(template.cdr.car, scope)), True
-        if head is _S_UNQUOTE_SPLICING:
-            raise _bad(template, "unquote-splicing outside list context")
-        car_t = template.car
-        if (isinstance(car_t, Pair)
-                and car_t.car is _S_UNQUOTE_SPLICING):
-            if not (isinstance(car_t.cdr, Pair) and car_t.cdr.cdr is NIL):
-                raise _bad(car_t, "malformed unquote-splicing")
-            car_node = QQSplice(_parse(car_t.cdr.car, scope))
-            car_dyn = True
+def _splice_items(m, args):
+    spliced = args[0]
+    if not is_proper_list(spliced):
+        raise EvalError("unquote-splicing",
+                        f"expected a proper list, got {write_value(spliced)}")
+    return tuple(to_pylist(spliced))
+
+
+def _build_items(args):
+    items = []
+    for value in args:
+        if type(value) is tuple:
+            items.extend(value)
         else:
-            car_node, car_dyn = _compile_qq(car_t, scope)
-        cdr_node, cdr_dyn = _compile_qq(template.cdr, scope)
-        if not (car_dyn or cdr_dyn):
-            return QQConst(template), False
-        return QQPair(car_node, cdr_node), True
+            items.append(value)
+    return items
+
+
+# A template's applications call these through a Literal, so no global
+# reaches them.  A spliced operand arrives as a tuple, which is never a
+# Scheme value.
+_SPLICE = Literal(Primitive("unquote-splicing", _splice_items, 1, 1))
+_QQ_LIST = Literal(Primitive(
+    "quasiquote", lambda m, args: list_from(_build_items(args[:-1]), args[-1]),
+    1, None))
+_QQ_VECTOR = Literal(Primitive(
+    "quasiquote", lambda m, args: _build_items(args), 0, None))
+_QQ_HEADS = (_S_QUASIQUOTE, _S_UNQUOTE, _S_UNQUOTE_SPLICING)
+
+
+def _lower_qq(template, scope):
+    """Lower a quasiquote template to a core form; returns (node, is_dynamic).
+    Recurses once per nesting level of the template, never along a list."""
+    if not isinstance(template, (Pair, list)):
+        return QuoteExpr(template), False
+    pairs = []
+    tail = template
     if isinstance(template, list):
-        node = QQConst(NIL)
-        dynamic = False
-        for item in reversed(template):
-            if isinstance(item, Pair) and item.car is _S_UNQUOTE_SPLICING:
-                if not (isinstance(item.cdr, Pair) and item.cdr.cdr is NIL):
-                    raise _bad(item, "malformed unquote-splicing")
-                node = QQPair(QQSplice(_parse(item.cdr.car, scope)), node)
-                dynamic = True
-            else:
-                item_node, item_dyn = _compile_qq(item, scope)
-                node = QQPair(item_node, node)
-                dynamic = dynamic or item_dyn
-        if not dynamic:
-            return QQConst(template), False
-        return QQVector(node), True
-    return QQConst(template), False
+        items = template
+    else:
+        while isinstance(tail, Pair) and tail.car not in _QQ_HEADS:
+            pairs.append(tail)
+            tail = tail.cdr
+        items = [pair.car for pair in pairs]
+    nodes = []
+    dynamic_end = 0
+    for item in items:
+        if isinstance(item, Pair) and item.car is _S_UNQUOTE_SPLICING:
+            if not (isinstance(item.cdr, Pair) and item.cdr.cdr is NIL):
+                raise _bad(item, "malformed unquote-splicing")
+            # checked as soon as its value arrives, before later items run
+            node = _qq_app(_SPLICE, [_parse(item.cdr.car, scope)])
+            dynamic = True
+        else:
+            node, dynamic = _lower_qq(item, scope)
+        nodes.append(node)
+        if dynamic:
+            dynamic_end = len(nodes)
+    if isinstance(template, list):
+        if not dynamic_end:
+            return QuoteExpr(template), False
+        return _qq_app(_QQ_VECTOR, nodes), True
+    head = tail.car if isinstance(tail, Pair) else None
+    if head is _S_QUASIQUOTE:
+        raise _bad(tail, "nested quasiquote is not supported")
+    if head is _S_UNQUOTE_SPLICING:
+        raise _bad(tail, "unquote-splicing outside list context")
+    if head is _S_UNQUOTE:
+        if not (isinstance(tail.cdr, Pair) and tail.cdr.cdr is NIL):
+            raise _bad(tail, "malformed unquote")
+        tail = _parse(tail.cdr.car, scope)
+    elif not dynamic_end:
+        return QuoteExpr(template), False
+    else:
+        # the items after the last dynamic one stay in the shared datum
+        if dynamic_end < len(pairs):
+            tail = pairs[dynamic_end]
+        tail = QuoteExpr(tail)
+        del nodes[dynamic_end:]
+    if not nodes:
+        return tail, True
+    nodes.append(tail)
+    return _qq_app(_QQ_LIST, nodes), True
+
+
+def _qq_app(op, operands):
+    # a primitive's call site is never shown, so it carries no location
+    return AppExpr(op, tuple(operands), None, None, None, None)

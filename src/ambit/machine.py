@@ -35,14 +35,13 @@ from . import syntax
 from .errors import EvalError, SchemeError
 from .forms import (
     AndExpr, AppExpr, BeginExpr, CallccExpr, ChooseExpr, DefineExpr, IfExpr,
-    LambdaExpr, Literal, OrExpr, QQConst, QQPair, QQSplice, QQUnquote,
-    QQVector, QuasiExpr, QuoteExpr, SetExpr, VarRef, parse_core,
+    LambdaExpr, Literal, OrExpr, QuoteExpr, SetExpr, VarRef, parse_core,
 )
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
 from .values import (
     TERMINAL_FAIL, UNASSIGNED, VOID, ChoicePoint, Closure, Cont, Pair,
-    Primitive, intern, is_proper_list, list_from,
+    Primitive, intern, list_from,
 )
 from .writer import write_value
 
@@ -195,7 +194,7 @@ QuoteExpr.run = lambda quote, m, env, k: apply_cont(m, k, quote.datum)
 LambdaExpr.val = lambda lam, m, env: Closure(lam, env)
 LambdaExpr.run = _deliver
 for _cls in (IfExpr, DefineExpr, SetExpr, BeginExpr, AndExpr, OrExpr,
-             CallccExpr, ChooseExpr, QuasiExpr):
+             CallccExpr, ChooseExpr):
     _cls.val = _step
 
 
@@ -556,63 +555,3 @@ def invoke_fail(m):
     m.env_reg = f.env
     m.k_reg = f.k
     m.pc = _run
-
-
-QuasiExpr.run = lambda exp, m, env, k: exp.root.run(m, env, k)
-QQConst.run = lambda node, m, env, k: apply_cont(m, k, node.datum)
-QQUnquote.run = lambda node, m, env, k: node.form.run(m, env, k)
-
-
-def _qq_pair_run(node, m, env, k):
-    car = node.car
-    if type(car) is QQSplice:
-        car.form.run(m, env, m.make_cont(cont_qq_splice, node.cdr, env, k))
-    else:
-        car.run(m, env, m.make_cont(cont_qq_car, node.cdr, env, k))
-
-
-QQPair.run = _qq_pair_run
-QQVector.run = lambda node, m, env, k: node.items.run(
-    m, env, m.make_cont(cont_qq_vector, k))
-
-
-def cont_qq_car(m):
-    cdr_node, env, k = m.fields_reg
-    cdr_node.run(m, env, m.make_cont(cont_qq_cons, m.value_reg, k))
-
-
-def cont_qq_cons(m):
-    car_value, k = m.fields_reg
-    apply_cont(m, k, Pair(car_value, m.value_reg))
-
-
-def cont_qq_splice(m):
-    cdr_node, env, k = m.fields_reg
-    spliced = m.value_reg
-    if not is_proper_list(spliced):
-        raise EvalError("unquote-splicing",
-                        f"expected a proper list, got {write_value(spliced)}")
-    cdr_node.run(m, env, m.make_cont(cont_qq_append, spliced, k))
-
-
-def cont_qq_append(m):
-    spliced, k = m.fields_reg
-    items = []
-    node = spliced
-    while isinstance(node, Pair):
-        items.append(node.car)
-        node = node.cdr
-    result = m.value_reg
-    for item in reversed(items):
-        result = Pair(item, result)
-    apply_cont(m, k, result)
-
-
-def cont_qq_vector(m):
-    (k,) = m.fields_reg
-    items = []
-    node = m.value_reg
-    while isinstance(node, Pair):
-        items.append(node.car)
-        node = node.cdr
-    apply_cont(m, k, items)

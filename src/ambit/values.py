@@ -154,8 +154,8 @@ def scheme_list(*items):
     return list_from(items)
 
 
-def list_from(items):
-    result = NIL
+def list_from(items, tail=NIL):
+    result = tail
     for item in reversed(items):
         result = Pair(item, result)
     return result

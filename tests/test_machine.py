@@ -529,3 +529,26 @@ def test_long_cond_chain_costs_no_host_depth(machine):
     assert ev(machine, "(pick 'z)") is VOID
     ev(machine, "(define x 'k1999)")
     assert ev(machine, f"(cond {clauses})") == 1999
+
+
+def test_parsing_leaves_no_scope_cycles(machine):
+    # compile-time scopes must be freed by reference counting alone, so parse
+    # garbage does not wait for the cyclic collector
+    import gc
+
+    from ambit.forms import _Scope, parse_core
+
+    def live_scopes():
+        return sum(type(o) is _Scope for o in gc.get_objects())
+
+    text = " ".join(f"(define f{i} (lambda (x) (let ((y x)) (+ x y))))"
+                    for i in range(100))
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_scopes()
+        for datum in read_all(text):
+            parse_core(datum.value, machine.macros, "<test>", machine.globals)
+        assert live_scopes() - before == 0
+    finally:
+        gc.enable()
