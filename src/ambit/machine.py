@@ -26,7 +26,16 @@ chain of ifs a `cond` becomes in a loop.  Entering a closure body
 choice point (`invoke_fail`) only assign registers and return to the
 trampoline, so host call depth grows only with the nesting that
 `parse_core` itself recursed through, however deeply the interpreted
-program recurses.
+program recurses.  A body's forms run in one loop that makes a continuation
+only for a form that needs the machine, and an ordinary primitive whose
+value goes straight on to another application's operands hands it on in a
+loop too, so a chain of `(+ 1 (f …))` returns costs one step.
+
+`require` is an ordinary primitive: on a false value it raises `Backtrack`,
+which unwinds whatever handler was computing it to the trampoline, and the
+trampoline resumes the most recent choice point.  A value is always
+computed before anything is assigned from it, so the unwinding leaves
+nothing half done, and `Backtrack` never leaves `trampoline`.
 """
 
 import sys
@@ -48,6 +57,14 @@ from .writer import write_value
 NO_MORE_CHOICES = "no more choices"
 
 _S_DEFINE_SYNTAX = intern("define-syntax")
+
+
+class Backtrack(Exception):
+    """A failed `require`: resume the most recent choice point.
+
+    Not a SchemeError, since it is control flow rather than an error; the
+    trampoline catches it and calls `invoke_fail`.
+    """
 
 
 class Machine:
@@ -83,17 +100,22 @@ class Machine:
         return Cont(label, fields, self.trace.spine)
 
     def trampoline(self):
-        """Run handlers until `pc` clears, then return the final register."""
+        """Run handlers until `pc` clears, then return the final register.
+        A `Backtrack` from a handler resumes the most recent choice point."""
         try:
-            pc = self.pc
-            while pc is not None:
-                pc(self)
-                pc = self.pc
+            while True:
+                try:
+                    pc = self.pc
+                    while pc is not None:
+                        pc(self)
+                        pc = self.pc
+                    return self.final_reg
+                except Backtrack:
+                    invoke_fail(self)
         except SchemeError as err:
             err.spine = self.trace.spine
             self.pc = None
             raise
-        return self.final_reg
 
     def eval_top(self, datum, source="<input>"):
         """Validate and evaluate one top-level form, expanding each macro use
@@ -202,7 +224,10 @@ def _app_val(app, m, env):
     """A marked application of a pure primitive, while its operator's
     global still holds that primitive.  Its operands are marked inline too,
     so only a rebound operator nested among them can make this give up,
-    after which the stepped path computes those operands again.  Most
+    after which the stepped path computes those operands again; a
+    `(require #t)` among them computed before the give-up is harmlessly
+    computed again, and a `(require #f)` raises `Backtrack` to the
+    trampoline, as it would on the stepped path.  Most
     primitive calls take one or two operands, which are computed without
     building the tuple one operand at a time."""
     prim = app.prim
@@ -246,12 +271,22 @@ def cont_operator(m):
 
 
 def cont_operand(m):
+    """Take an operand's value and go on with the application.  While that
+    was the last operand, the operator is an ordinary primitive and its
+    value goes to another application's operands, carry on here with that
+    application, making its spine current as `apply_cont` would, rather
+    than returning to the trampoline once per level."""
     proc, app, i, acc, env, k = m.fields_reg
-    acc += (m.value_reg,)
-    if i == len(app.args):
-        apply_proc(m, proc, acc, k, app)
-    else:
-        _eval_operands(m, proc, app, i, acc, env, k)
+    value = m.value_reg
+    while True:
+        acc += (value,)
+        if (i < len(app.args) or type(proc) is not Primitive or proc.control
+                or k.label is not cont_operand):
+            _eval_operands(m, proc, app, i, acc, env, k)
+            return
+        value = _call_primitive(m, proc, acc, k)
+        m.trace.spine = k.spine
+        proc, app, i, acc, env, k = k.fields
 
 
 def _eval_operands(m, proc, app, i, acc, env, k):
@@ -359,21 +394,27 @@ def cont_set(m):
     apply_cont(m, k, VOID)
 
 
-def _begin_run(exp, m, env, k):
-    # parse_core gives a BeginExpr two forms or more
-    body = exp.body
-    body[0].run(m, env, m.make_cont(cont_begin, body, 1, env, k))
+def _run_body(m, body, i, env, k):
+    """Run `body[i:]` toward `k`, the last form in tail position.  A
+    non-final form whose value can be computed inline is computed and
+    dropped in this loop; only one that needs the machine gets a
+    continuation for the rest of the body."""
+    last = len(body) - 1
+    while i < last:
+        exp = body[i]
+        i += 1
+        if exp.val(m, env) is _STEP:
+            exp.run(m, env, m.make_cont(cont_begin, body, i, env, k))
+            return
+    body[last].run(m, env, k)
 
 
-BeginExpr.run = _begin_run
+BeginExpr.run = lambda exp, m, env, k: _run_body(m, exp.body, 0, env, k)
 
 
 def cont_begin(m):
     body, i, env, k = m.fields_reg
-    if i == len(body) - 1:
-        body[i].run(m, env, k)
-    else:
-        body[i].run(m, env, m.make_cont(cont_begin, body, i + 1, env, k))
+    _run_body(m, body, i, env, k)
 
 
 def _eval_and_or(m, exprs, env, k, cont_label, empty_value):
@@ -429,22 +470,32 @@ def cont_callcc(m):
     apply_proc(m, m.value_reg, (k,), k)
 
 
-def _raise_arity(proc, na):
-    if proc.max_args is None:
-        expected = f"at least {proc.min_args}"
-    elif proc.min_args == proc.max_args:
-        expected = str(proc.min_args)
-    else:
-        expected = f"{proc.min_args} to {proc.max_args}"
-    raise EvalError("ArityError",
-                    f"{proc.name}: expected {expected} argument(s), got {na}")
+def _call_primitive(m, proc, args, k):
+    """Check the argument count and call primitive `proc`.  An ordinary
+    primitive's value is returned; a control primitive steers the machine
+    from `k` itself."""
+    na = len(args)
+    if na < proc.min_args or (proc.max_args is not None
+                              and na > proc.max_args):
+        if proc.max_args is None:
+            expected = f"at least {proc.min_args}"
+        elif proc.min_args == proc.max_args:
+            expected = str(proc.min_args)
+        else:
+            expected = f"{proc.min_args} to {proc.max_args}"
+        raise EvalError("ArityError", f"{proc.name}: expected {expected} "
+                                      f"argument(s), got {na}")
+    if proc.control:
+        return proc.fn(m, args, k)
+    return proc.fn(m, args)
 
 
 def apply_proc(m, proc, args, k, app=None):
     """Apply closure, primitive, or continuation to already-evaluated args.
 
     This is the only place a closure is entered, and the body starts from
-    the trampoline rather than from here.  Tail calls happen here:
+    the trampoline rather than from here, through `cont_begin` when it has
+    more than one form.  Tail calls happen here:
     the callee runs toward the caller's `k`, so the continuation chain does
     not grow for calls in tail position.  The callee's trace frame goes on
     top of `k`'s spine rather than the current one, so a tail call replaces
@@ -488,21 +539,18 @@ def apply_proc(m, proc, args, k, app=None):
                 trace.high_water = depth
         body = lam.body
         if len(body) > 1:
-            k = m.make_cont(cont_begin, body, 1, env, k)
+            m.fields_reg = (body, 0, env, k)
+            m.pc = cont_begin
+            return
         m.exp_reg = body[0]
         m.env_reg = env
         m.k_reg = k
         m.pc = _run
         return
     if t is Primitive:
-        na = len(args)
-        if na < proc.min_args or (proc.max_args is not None
-                                  and na > proc.max_args):
-            _raise_arity(proc, na)
-        if proc.control:
-            proc.fn(m, args, k)
-        else:
-            apply_cont(m, k, proc.fn(m, args))
+        value = _call_primitive(m, proc, args, k)
+        if not proc.control:
+            apply_cont(m, k, value)
         return
     if t is Cont:
         if len(args) != 1:

@@ -1,26 +1,31 @@
 """Built-in procedures plus the boot definitions evaluated at startup.
 
-Most primitives compute a value directly.  `require` and `apply` are control
-primitives: they receive the current continuation and steer the machine
-themselves (`require` by invoking the fail chain).  `map` and `for-each` are
-defined in Scheme at boot so they behave like ordinary closures, with real
-application frames and proper tail behavior.
+Most primitives compute a value directly.  `apply` is the one control
+primitive: it receives the current continuation and steers the machine
+itself.  `require` is ordinary: on a false value it raises the machine's
+`Backtrack`, which the trampoline turns into a jump to the most recent
+choice point, so it may be computed inline like any pure primitive.  `map`
+and `for-each` are defined in Scheme at boot so they behave like ordinary
+closures, with real application frames and proper tail behavior.
 """
 
 import math
+from operator import is_
 
 from .errors import EvalError
-from .machine import apply_cont, apply_proc, invoke_fail
+from .machine import Backtrack, apply_proc
 from .reader import _INT_RE, _REAL_RE
 from .values import (
     INT64_MAX, INT64_MIN, NIL, VOID, Closure, Cont, Pair, Primitive, Symbol,
-    eq, equal, eqv, intern, list_from, to_pylist,
+    eq, equal, equal_by_value, eqv, eqv_by_value, intern, list_from,
+    to_pylist,
 )
 from .writer import display_value, write_value
 
 
 # Primitives with observable effects (output or mutation); everything else
-# that is not a control primitive is safe to evaluate inline.
+# that is not a control primitive is safe to evaluate inline (`require`
+# too: a failure unwinds to the trampoline before anything is assigned).
 _IMPURE = frozenset({
     "display", "write", "newline", "print", "vector-set!", "use-stack-trace",
 })
@@ -118,12 +123,18 @@ def _prim_length(m, args):
     return len(to_pylist(args[0], "length"))
 
 
-def _member_with(pred, who):
+# `member` and the `ass` procedures compare with `pred` only a target that
+# `by_value` says it can match by content; any other target can match only
+# itself, so it is compared with `is`.
+
+
+def _member_with(pred, by_value, who):
     def member(m, args):
         target, lst = args
+        same = pred if by_value(target) else is_
         node = lst
         while isinstance(node, Pair):
-            if pred(target, node.car):
+            if same(target, node.car):
                 return node
             node = node.cdr
         if node is not NIL:
@@ -133,15 +144,16 @@ def _member_with(pred, who):
     return member
 
 
-def _assoc_with(pred, who):
+def _assoc_with(pred, by_value, who):
     def assoc(m, args):
         target, alist = args
+        same = pred if by_value(target) else is_
         node = alist
         while isinstance(node, Pair):
             entry = node.car
             if not isinstance(entry, Pair):
                 raise _type_error(who, "an association list", alist)
-            if pred(target, entry.car):
+            if same(target, entry.car):
                 return entry
             node = node.cdr
         if node is not NIL:
@@ -547,13 +559,10 @@ def _prim_error(m, args):
     raise EvalError(who.name, _format_text(who.name, message, args[2:]))
 
 
-def _prim_require(m, args, k):
-    # failure is control flow, not an exception: jump back to the most
-    # recent choice point
+def _prim_require(m, args):
     if args[0] is False:
-        invoke_fail(m)
-    else:
-        apply_cont(m, k, VOID)
+        raise Backtrack
+    return VOID
 
 
 def _prim_apply(m, args, k):
@@ -591,10 +600,10 @@ _PRIMITIVE_SPECS = [
     ("append", _prim_append, 0, None, False),
     ("reverse", _prim_reverse, 1, 1, False),
     ("length", _prim_length, 1, 1, False),
-    ("member", _member_with(equal, "member"), 2, 2, False),
-    ("memq", _member_with(eq, "memq"), 2, 2, False),
-    ("assq", _assoc_with(eq, "assq"), 2, 2, False),
-    ("assv", _assoc_with(eqv, "assv"), 2, 2, False),
+    ("member", _member_with(equal, equal_by_value, "member"), 2, 2, False),
+    ("memq", _member_with(eq, eqv_by_value, "memq"), 2, 2, False),
+    ("assq", _assoc_with(eq, eqv_by_value, "assq"), 2, 2, False),
+    ("assv", _assoc_with(eqv, eqv_by_value, "assv"), 2, 2, False),
     ("null?", _prim_null_p, 1, 1, False),
     ("pair?", _prim_pair_p, 1, 1, False),
     ("list?", _prim_list_p, 1, 1, False),
@@ -641,7 +650,7 @@ _PRIMITIVE_SPECS = [
     ("print", _prim_print, 1, 1, False),
     ("format", _prim_format, 1, None, False),
     ("error", _prim_error, 2, None, False),
-    ("require", _prim_require, 1, 1, True),
+    ("require", _prim_require, 1, 1, False),
     ("apply", _prim_apply, 2, None, True),
     ("void", _prim_void, 0, None, False),
     ("use-stack-trace", _prim_use_stack_trace, 1, 1, False),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     COLOR_EUROPE_PROGRAM, coloring_solutions, coloring_text, combo_text,
     exhaust_choices, gen_choose_tree, gen_predicate, gen_search_program,
-    tree_leaves, tree_text,
+    run_on_small_stack, tree_leaves, tree_text,
 )
 
 from ambit import Machine, write_value
@@ -225,3 +225,81 @@ def test_nested_scopes_against_enumerator(program):
     produced = exhaust_choices(Machine(stdout=io.StringIO()), text)
     assert [write_value(v) for v in produced] == \
         [combo_text(c) for c in expected], text
+
+
+# --- require as an ordinary primitive ---------------------------------------
+# `require` is computed inline wherever its operand is; a false value unwinds
+# whatever was evaluating it back to the trampoline, which resumes the most
+# recent choice point.
+
+
+def test_require_as_non_final_form_of_a_top_level_begin(machine):
+    assert ev(machine,
+              "(begin (define x (choose 1 2 3)) (require (> x 2)) x)") == 3
+
+
+def test_require_as_non_final_form_of_a_closure_body(machine):
+    ev(machine, "(define keep (lambda (x) (require (> x 1)) (require #t) x))")
+    assert ev(machine, "(keep (choose 1 2 3))") == 2
+    assert ev(machine, "(choose)") == 3
+    assert ev(machine, "(choose)") == NO_MORE_CHOICES
+
+
+def test_require_as_if_test(machine):
+    program = "(let ((x (choose 1 2))) (if (require (> x 1)) x 'no))"
+    assert ev(machine, program) == 2
+
+
+def test_require_as_define_value(machine):
+    program = "(let ((x (choose 1 2 3))) (define r (require (> x 2))) x)"
+    assert ev(machine, program) == 3
+
+
+def test_require_as_operand_of_a_marked_application(machine):
+    assert ev(machine, "(cadr (list (require #t) 1))") == 1
+    program = "(let ((x (choose 1 2 3))) (cadr (list (require (> x 1)) x)))"
+    assert ev(machine, program) == 2
+
+
+def test_require_through_apply_and_map(machine):
+    program = "(let ((x (choose 1 2))) (apply require (list (> x 1))) x)"
+    assert ev(machine, program) == 2
+    assert ev(machine, "(apply require '(#f))") == NO_MORE_CHOICES
+    program = "(let ((x (choose 1 2 3))) (map require (list #t (> x 2))) x)"
+    assert ev(machine, program) == 3
+
+
+def test_rebound_require_is_seen(machine):
+    ev(machine, "(define early (lambda () (require #f)))")
+    ev(machine, "(define require (lambda (x) 'mine))")
+    assert ev(machine, "(require #f)").name == "mine"
+    assert ev(machine, "(early)").name == "mine"
+
+
+def test_effects_before_a_failing_require_happen_once_per_attempt(machine):
+    result = ev(machine, "(begin (choose 1 2 3) (display \"a\") (require #f))")
+    assert result == NO_MORE_CHOICES
+    assert machine.stdout.getvalue() == "aaa"
+
+
+def test_top_level_require_false_without_choice_points(machine):
+    # computed inline, nested inline and in a body: never an exception
+    for program in ("(require #f)", "(car (list (require #f)))",
+                    "((lambda () (require #f) 1))"):
+        assert ev(machine, program) == NO_MORE_CHOICES, program
+        assert machine.fail_reg is TERMINAL_FAIL
+        assert machine.pc is None
+    assert ev(machine, "(+ 1 2)") == 3
+    assert ev(machine, "(let ((x (choose 1 2))) (require (> x 1)) x)") == 2
+
+
+def test_long_body_of_requires_on_a_small_stack():
+    body = " ".join(["(require #t)"] * 5000)
+
+    def work():
+        m = Machine(stdout=io.StringIO())
+        lam = m.eval_source(f"((lambda () {body} 'done))")
+        top = m.eval_source(f"(begin {body} 'done)")
+        return lam.name, top.name
+
+    assert run_on_small_stack(work) == ("done", "done")

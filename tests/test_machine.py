@@ -552,3 +552,47 @@ def test_parsing_leaves_no_scope_cycles(machine):
         assert live_scopes() - before == 0
     finally:
         gc.enable()
+
+
+# --- primitive returns chained without the trampoline -----------------------
+
+
+def test_error_in_a_chained_primitive_return_shows_its_own_frames(machine):
+    # (g 1) and (g 2) return through `+` in one chain, which must make each
+    # level's frames current before `(+ 'x …)` fails in (g 3)
+    ev(machine, "(define g (lambda (n) (if (= n 0) 0 "
+                "(+ (if (= n 3) 'x 1) (g (- n 1))))))")
+    with pytest.raises(SchemeError) as excinfo:
+        ev(machine, "(g 5)")
+    err = excinfo.value
+    assert err.error_line() == "+: expected a number, got x"
+    assert [(f[0], f[1]) for f in err.frames] == [
+        ("g", (5,)), ("g", (4,)), ("g", (3,))]
+
+
+def test_callcc_reentered_under_a_chained_ascent(machine):
+    ev(machine, "(define saved #f)")
+    ev(machine, "(define h (lambda (n) (if (= n 0) "
+                "(call/cc (lambda (k) (set! saved k) 0)) "
+                "(+ 1 (* 1 (h (- n 1)))))))")
+    program = """
+    (let ((results '()))
+      (let ((v (+ 100 (h 5))))
+        (set! results (cons v results))
+        (if (< (length results) 3)
+            (saved (* 10 (length results)))
+            (reverse results))))
+    """
+    assert write_value(ev(machine, program)) == "(105 115 125)"
+    # from a later top-level form, the re-entered let sees its frame as the
+    # earlier runs left it
+    assert write_value(ev(machine, "(saved 7)")) == "(105 115 125 112)"
+
+
+def test_body_forms_computed_inline_make_no_continuation(machine):
+    ev(machine, "(define f (lambda (x) (require (> x 0)) (car (list x)) "
+                "(+ x 1)))")
+    before = machine.cont_allocations
+    assert ev(machine, "(f 1)") == 2
+    assert ev(machine, "(begin (require #t) (f 2))") == 3
+    assert machine.cont_allocations == before

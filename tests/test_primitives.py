@@ -59,6 +59,35 @@ def test_member_and_memq(machine):
     assert write_value(ev(machine, "(memq 'b '(a b))")) == "(b)"
 
 
+def test_member_compares_by_content_only_where_equal_can(machine):
+    # the quoted target is a reader-made pair, a subclass of Pair, so it must
+    # still be compared by structure rather than by identity
+    assert write_value(ev(machine, "(member '(1) (list '(0) '(1)))")) == \
+        "((1))"
+    assert write_value(ev(machine, "(member \"b\" (list \"a\" \"b\"))")) \
+        == '("b")'
+    assert write_value(ev(machine, "(member (vector 1) (list (vector 1)))")) \
+        == "(#(1))"
+    assert write_value(ev(machine, "(member 'c (list 'a 'b 'c 'd))")) == \
+        "(c d)"
+    assert ev(machine, "(member 'e (list 'a 'b 'c 'd))") is False
+    assert write_value(ev(machine, "(member #t (list #f #t))")) == "(#t)"
+    assert write_value(ev(machine, "(member 2.5 (list 1 2.5 3))")) == \
+        "(2.5 3)"
+    assert write_value(ev(machine, "(memq 300 (list 100 200 300))")) == \
+        "(300)"
+    assert ev(machine, "(member 2 (list 1 2.0 3))") is False
+    assert write_value(ev(machine, "(assv 2.5 (list (list 2.5 'x)))")) == \
+        "(2.5 x)"
+
+
+def test_member_of_improper_list_still_errors(machine):
+    with pytest.raises(EvalError, match="member"):
+        ev(machine, "(member 'z '(a . b))")
+    with pytest.raises(EvalError, match="assq"):
+        ev(machine, "(assq 'z '((a 1) 2))")
+
+
 def test_assq_assv(machine):
     assert write_value(ev(machine, "(assq 'b '((a 1) (b 2)))")) == "(b 2)"
     assert ev(machine, "(assq 'z '((a 1)))") is False
