@@ -27,9 +27,7 @@ choice point (`invoke_fail`) only assign registers and return to the
 trampoline, so host call depth grows only with the nesting that
 `parse_core` itself recursed through, however deeply the interpreted
 program recurses.  A body's forms run in one loop that makes a continuation
-only for a form that needs the machine, and an ordinary primitive whose
-value goes straight on to another application's operands hands it on in a
-loop too, so a chain of `(+ 1 (f …))` returns costs one step.
+only for a form that needs the machine.
 
 `require` is an ordinary primitive: on a false value it raises `Backtrack`,
 which unwinds whatever handler was computing it to the trampoline, and the
@@ -271,22 +269,12 @@ def cont_operator(m):
 
 
 def cont_operand(m):
-    """Take an operand's value and go on with the application.  While that
-    was the last operand, the operator is an ordinary primitive and its
-    value goes to another application's operands, carry on here with that
-    application, making its spine current as `apply_cont` would, rather
-    than returning to the trampoline once per level."""
     proc, app, i, acc, env, k = m.fields_reg
-    value = m.value_reg
-    while True:
-        acc += (value,)
-        if (i < len(app.args) or type(proc) is not Primitive or proc.control
-                or k.label is not cont_operand):
-            _eval_operands(m, proc, app, i, acc, env, k)
-            return
-        value = _call_primitive(m, proc, acc, k)
-        m.trace.spine = k.spine
-        proc, app, i, acc, env, k = k.fields
+    acc += (m.value_reg,)
+    if i == len(app.args):
+        apply_proc(m, proc, acc, k, app)
+    else:
+        _eval_operands(m, proc, app, i, acc, env, k)
 
 
 def _eval_operands(m, proc, app, i, acc, env, k):
@@ -470,24 +458,15 @@ def cont_callcc(m):
     apply_proc(m, m.value_reg, (k,), k)
 
 
-def _call_primitive(m, proc, args, k):
-    """Check the argument count and call primitive `proc`.  An ordinary
-    primitive's value is returned; a control primitive steers the machine
-    from `k` itself."""
-    na = len(args)
-    if na < proc.min_args or (proc.max_args is not None
-                              and na > proc.max_args):
-        if proc.max_args is None:
-            expected = f"at least {proc.min_args}"
-        elif proc.min_args == proc.max_args:
-            expected = str(proc.min_args)
-        else:
-            expected = f"{proc.min_args} to {proc.max_args}"
-        raise EvalError("ArityError", f"{proc.name}: expected {expected} "
-                                      f"argument(s), got {na}")
-    if proc.control:
-        return proc.fn(m, args, k)
-    return proc.fn(m, args)
+def _raise_arity(proc, na):
+    if proc.max_args is None:
+        expected = f"at least {proc.min_args}"
+    elif proc.min_args == proc.max_args:
+        expected = str(proc.min_args)
+    else:
+        expected = f"{proc.min_args} to {proc.max_args}"
+    raise EvalError("ArityError",
+                    f"{proc.name}: expected {expected} argument(s), got {na}")
 
 
 def apply_proc(m, proc, args, k, app=None):
@@ -548,9 +527,14 @@ def apply_proc(m, proc, args, k, app=None):
         m.pc = _run
         return
     if t is Primitive:
-        value = _call_primitive(m, proc, args, k)
-        if not proc.control:
-            apply_cont(m, k, value)
+        na = len(args)
+        if na < proc.min_args or (proc.max_args is not None
+                                  and na > proc.max_args):
+            _raise_arity(proc, na)
+        if proc.control:
+            proc.fn(m, args, k)
+        else:
+            apply_cont(m, k, proc.fn(m, args))
         return
     if t is Cont:
         if len(args) != 1:

@@ -10,15 +10,13 @@ closures, with real application frames and proper tail behavior.
 """
 
 import math
-from operator import is_
 
 from .errors import EvalError
 from .machine import Backtrack, apply_proc
 from .reader import _INT_RE, _REAL_RE
 from .values import (
     INT64_MAX, INT64_MIN, NIL, VOID, Closure, Cont, Pair, Primitive, Symbol,
-    eq, equal, equal_by_value, eqv, eqv_by_value, intern, list_from,
-    to_pylist,
+    eq, equal, eqv, intern, list_from, to_pylist,
 )
 from .writer import display_value, write_value
 
@@ -123,18 +121,12 @@ def _prim_length(m, args):
     return len(to_pylist(args[0], "length"))
 
 
-# `member` and the `ass` procedures compare with `pred` only a target that
-# `by_value` says it can match by content; any other target can match only
-# itself, so it is compared with `is`.
-
-
-def _member_with(pred, by_value, who):
+def _member_with(pred, who):
     def member(m, args):
         target, lst = args
-        same = pred if by_value(target) else is_
         node = lst
         while isinstance(node, Pair):
-            if same(target, node.car):
+            if pred(target, node.car):
                 return node
             node = node.cdr
         if node is not NIL:
@@ -144,16 +136,15 @@ def _member_with(pred, by_value, who):
     return member
 
 
-def _assoc_with(pred, by_value, who):
+def _assoc_with(pred, who):
     def assoc(m, args):
         target, alist = args
-        same = pred if by_value(target) else is_
         node = alist
         while isinstance(node, Pair):
             entry = node.car
             if not isinstance(entry, Pair):
                 raise _type_error(who, "an association list", alist)
-            if same(target, entry.car):
+            if pred(target, entry.car):
                 return entry
             node = node.cdr
         if node is not NIL:
@@ -600,10 +591,10 @@ _PRIMITIVE_SPECS = [
     ("append", _prim_append, 0, None, False),
     ("reverse", _prim_reverse, 1, 1, False),
     ("length", _prim_length, 1, 1, False),
-    ("member", _member_with(equal, equal_by_value, "member"), 2, 2, False),
-    ("memq", _member_with(eq, eqv_by_value, "memq"), 2, 2, False),
-    ("assq", _assoc_with(eq, eqv_by_value, "assq"), 2, 2, False),
-    ("assv", _assoc_with(eqv, eqv_by_value, "assv"), 2, 2, False),
+    ("member", _member_with(equal, "member"), 2, 2, False),
+    ("memq", _member_with(eq, "memq"), 2, 2, False),
+    ("assq", _assoc_with(eq, "assq"), 2, 2, False),
+    ("assv", _assoc_with(eqv, "assv"), 2, 2, False),
     ("null?", _prim_null_p, 1, 1, False),
     ("pair?", _prim_pair_p, 1, 1, False),
     ("list?", _prim_list_p, 1, 1, False),

@@ -194,20 +194,6 @@ def eqv(x, y):
 eq = eqv
 
 
-def eqv_by_value(x):
-    """Whether `eqv?` can hold between `x` and an object other than itself."""
-    t = type(x)
-    return t is int or t is float
-
-
-def equal_by_value(x):
-    """Whether `equal?` can hold between `x` and an object other than
-    itself; a `SourcePair` is a `Pair` too."""
-    t = type(x)
-    return (t is int or t is float or t is str or t is list
-            or isinstance(x, Pair))
-
-
 def equal(x, y):
     """`equal?`: pairs and vectors by structure, numbers by `eqv?`, strings
     by text, everything else by identity.

@@ -554,12 +554,12 @@ def test_parsing_leaves_no_scope_cycles(machine):
         gc.enable()
 
 
-# --- primitive returns chained without the trampoline -----------------------
+# --- returns through pending primitive applications -------------------------
 
 
-def test_error_in_a_chained_primitive_return_shows_its_own_frames(machine):
-    # (g 1) and (g 2) return through `+` in one chain, which must make each
-    # level's frames current before `(+ 'x …)` fails in (g 3)
+def test_error_after_primitive_returns_shows_its_own_frames(machine):
+    # (g 1) and (g 2) return through pending `+` applications, each of which
+    # must make its level's frames current before `(+ 'x …)` fails in (g 3)
     ev(machine, "(define g (lambda (n) (if (= n 0) 0 "
                 "(+ (if (= n 3) 'x 1) (g (- n 1))))))")
     with pytest.raises(SchemeError) as excinfo:
@@ -570,7 +570,7 @@ def test_error_in_a_chained_primitive_return_shows_its_own_frames(machine):
         ("g", (5,)), ("g", (4,)), ("g", (3,))]
 
 
-def test_callcc_reentered_under_a_chained_ascent(machine):
+def test_callcc_reentered_under_pending_primitive_returns(machine):
     ev(machine, "(define saved #f)")
     ev(machine, "(define h (lambda (n) (if (= n 0) "
                 "(call/cc (lambda (k) (set! saved k) 0)) "

@@ -59,9 +59,9 @@ def test_member_and_memq(machine):
     assert write_value(ev(machine, "(memq 'b '(a b))")) == "(b)"
 
 
-def test_member_compares_by_content_only_where_equal_can(machine):
-    # the quoted target is a reader-made pair, a subclass of Pair, so it must
-    # still be compared by structure rather than by identity
+def test_member_and_assv_compare_like_equal_and_eqv(machine):
+    # the quoted target is a reader-made pair, a subclass of Pair, and is
+    # compared by structure like any other pair
     assert write_value(ev(machine, "(member '(1) (list '(0) '(1)))")) == \
         "((1))"
     assert write_value(ev(machine, "(member \"b\" (list \"a\" \"b\"))")) \
