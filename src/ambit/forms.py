@@ -6,8 +6,8 @@ form.  The one walk over a datum expands each macro use as it meets it: a
 form whose head names a macro is rewritten by `syntax.expand` before it is
 dispatched, so the expansion's subforms are expanded when the walk reaches
 them, and only in the positions this module parses as expressions.  `cond`
-is lowered into if/or/begin here; `and` and `or` stay as dedicated nodes so
-they can deliver the deciding value without introducing temporaries.
+is lowered into if/or/begin and the let family into lambda applications;
+`and` and `or` stay as nodes, to give the deciding value without a temporary.
 
 A quasiquote template is lowered to quotes and applications (R7RS 4.2.8):
 a constant part becomes one quote, so the constant tail after a list's last
@@ -175,6 +175,9 @@ _S_BEGIN = intern("begin")
 _S_AND = intern("and")
 _S_OR = intern("or")
 _S_COND = intern("cond")
+_S_LET = intern("let")
+_S_LET_STAR = intern("let*")
+_S_LETREC = intern("letrec")
 _S_ELSE = intern("else")
 _S_CALLCC = intern("call/cc")
 _S_CALLCC_LONG = intern("call-with-current-continuation")
@@ -220,6 +223,21 @@ class _Scope:
         self.apps = apps
         self.macros = macros
         self.source = source
+
+    def enter(self, names):
+        """The scope of a closure that binds `names`, nested in this one."""
+        return _Scope({name: i for i, name in enumerate(names, 1)}, self,
+                      self.refs, self.apps, self.macros, self.source)
+
+    def closure(self, params, rest, body):
+        # the slots after the parameters are the ones the body's defines added
+        return LambdaExpr(params, rest, tuple(body),
+                          len(self.slots) - len(params) - (rest is not None))
+
+    def define(self, name, init):
+        # a parameter of the same name keeps its slot
+        index = self.slots.setdefault(name, len(self.slots) + 1)
+        return DefineExpr(name, _parse(init, self), index)
 
 
 def parse_core(form, macros, source="<input>", global_table=None):
@@ -308,13 +326,9 @@ def _parse_pair(form, scope):
         if head is _S_DEFINE or head is _S_DEFINE_BANG:
             if len(items) != 3 or not isinstance(items[1], Symbol):
                 raise _bad(form, f"malformed {head.name}")
-            name = items[1]
-            slots = scope.slots
-            index = None
-            if head is _S_DEFINE and slots is not None:
-                # a parameter of the same name keeps its slot
-                index = slots.setdefault(name, len(slots) + 1)
-            return DefineExpr(name, _parse(items[2], scope), index)
+            if head is _S_DEFINE_BANG or scope.slots is None:
+                return DefineExpr(items[1], _parse(items[2], scope), None)
+            return scope.define(items[1], items[2])
         if head is _S_SET_BANG:
             if len(items) != 3 or not isinstance(items[1], Symbol):
                 raise _bad(form, "malformed set!")
@@ -323,13 +337,9 @@ def _parse_pair(form, scope):
             if len(items) < 3:
                 raise _bad(form, "malformed lambda")
             params, rest = _parse_params(form, items[1])
-            names = params if rest is None else params + (rest,)
-            inner = _Scope({name: i for i, name in enumerate(names, 1)},
-                           scope, scope.refs, scope.apps, scope.macros,
-                           scope.source)
-            body = tuple(_parse(b, inner) for b in items[2:])
-            return LambdaExpr(params, rest, body,
-                              len(inner.slots) - len(names))
+            inner = scope.enter(params if rest is None else params + (rest,))
+            return inner.closure(params, rest,
+                                 [_parse(b, inner) for b in items[2:]])
         if head is _S_BEGIN:
             if len(items) == 1:
                 return Literal(VOID)
@@ -342,6 +352,8 @@ def _parse_pair(form, scope):
             return OrExpr(tuple(_parse(e, scope) for e in items[1:]))
         if head is _S_COND:
             return _parse_cond(form, items[1:], scope)
+        if head is _S_LET or head is _S_LET_STAR or head is _S_LETREC:
+            return _parse_let(form, items, scope)
         if head is _S_CALLCC or head is _S_CALLCC_LONG:
             if len(items) != 2:
                 raise _bad(form, f"malformed {head.name}")
@@ -406,6 +418,43 @@ def _parse_cond(form, clauses, scope):
     return result
 
 
+def _parse_let(form, items, scope):
+    """Lower `let` to ((lambda (name ...) body ...) init ...) (R7RS 7.3),
+    `let*` to one such application per binding around (let () body ...),
+    and `letrec` to (let () (define name init) ... body ...)."""
+    head = items[0]
+    bindings, tail = _spine(items[1]) if len(items) > 2 else ((), None)
+    pairs = [parts for parts, end in map(_spine, bindings) if end is NIL
+             and len(parts) == 2 and isinstance(parts[0], Symbol)]
+    names = [name for name, _ in pairs]
+    # a named let has a symbol where its bindings belong
+    if tail is not NIL or len(pairs) != len(bindings) or (
+            head is _S_LET and len(set(names)) != len(names)):
+        raise _bad(form, f"malformed {head.name}")
+    # let* opens one scope per binding here and closes them inside out
+    # below, so its subforms are parsed in the order nested lets would give
+    for name in names if head is _S_LET_STAR else ():
+        scope = scope.enter((name,))
+    params = tuple(names) if head is _S_LET else ()
+    inner = scope.enter(params)
+    # loops, not comprehensions, so a nesting level costs no more host
+    # frames than an operand of an application does
+    body = []
+    for name, init in pairs if head is _S_LETREC else ():
+        body.append(inner.define(name, init))
+    for item in items[2:]:
+        body.append(_parse(item, inner))
+    operands = []
+    for _, init in pairs if head is _S_LET else ():
+        operands.append(_parse(init, scope))
+    node = _app(inner.closure(params, None, body), operands, scope.source)
+    for name, init in reversed(pairs) if head is _S_LET_STAR else ():
+        op = scope.closure((name,), None, (node,))
+        scope = scope.parent
+        node = _app(op, (_parse(init, scope),), scope.source)
+    return node
+
+
 def _body_expr(body):
     return body[0] if len(body) == 1 else BeginExpr(body)
 
@@ -461,7 +510,7 @@ def _lower_qq(template, scope):
             if not (isinstance(item.cdr, Pair) and item.cdr.cdr is NIL):
                 raise _bad(item, "malformed unquote-splicing")
             # checked as soon as its value arrives, before later items run
-            node = _qq_app(_SPLICE, [_parse(item.cdr.car, scope)])
+            node = _app(_SPLICE, [_parse(item.cdr.car, scope)])
             dynamic = True
         else:
             node, dynamic = _lower_qq(item, scope)
@@ -471,7 +520,7 @@ def _lower_qq(template, scope):
     if isinstance(template, list):
         if not dynamic_end:
             return QuoteExpr(template), False
-        return _qq_app(_QQ_VECTOR, nodes), True
+        return _app(_QQ_VECTOR, nodes), True
     head = tail.car if isinstance(tail, Pair) else None
     if head is _S_QUASIQUOTE:
         raise _bad(tail, "nested quasiquote is not supported")
@@ -492,9 +541,9 @@ def _lower_qq(template, scope):
     if not nodes:
         return tail, True
     nodes.append(tail)
-    return _qq_app(_QQ_LIST, nodes), True
+    return _app(_QQ_LIST, nodes), True
 
 
-def _qq_app(op, operands):
-    # a primitive's call site is never shown, so it carries no location
-    return AppExpr(op, tuple(operands), None, None, None, None)
+def _app(op, operands, source=None):
+    # a call site the traceback never shows carries no location
+    return AppExpr(op, tuple(operands), None, None, None, source)

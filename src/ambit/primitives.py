@@ -648,37 +648,8 @@ _PRIMITIVE_SPECS = [
 ]
 
 
-# Evaluated once per machine at startup.  The let family is registered as
-# macros built from dotted-tail accumulator patterns; `let` runs two
-# accumulator passes so its init expressions evaluate in source order.
+# Evaluated once per machine at startup; defines procedures only, no macros.
 BOOT_SOURCE = """
-(define-syntax let
-  [(let ?bindings . ?bodies) (let-reverse ?bindings () . ?bodies)])
-
-(define-syntax let-reverse
-  [(let-reverse () ?acc . ?bodies) (let-build ?acc () () . ?bodies)]
-  [(let-reverse (?binding . ?rest) ?acc . ?bodies)
-   (let-reverse ?rest (?binding . ?acc) . ?bodies)])
-
-(define-syntax let-build
-  [(let-build () ?ids ?exps . ?bodies) ((lambda ?ids . ?bodies) . ?exps)]
-  [(let-build ((?i ?e) . ?other) ?ids ?exps . ?bodies)
-   (let-build ?other (?i . ?ids) (?e . ?exps) . ?bodies)])
-
-(define-syntax let*
-  [(let* () . ?bodies) ((lambda () . ?bodies))]
-  [(let* ((?i ?e) . ?rest) . ?bodies)
-   ((lambda (?i) (let* ?rest . ?bodies)) ?e)])
-
-(define-syntax letrec
-  [(letrec ?bindings . ?bodies)
-   ((lambda () (letrec-defines ?bindings . ?bodies)))])
-
-(define-syntax letrec-defines
-  [(letrec-defines () . ?bodies) (begin . ?bodies)]
-  [(letrec-defines ((?name ?exp) . ?rest) . ?bodies)
-   (begin (define ?name ?exp) (letrec-defines ?rest . ?bodies))])
-
 (define map
   (lambda (f first . rest)
     (define map1

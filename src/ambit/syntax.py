@@ -19,8 +19,8 @@ from .writer import write_value
 # Expansions one macro use may take before it counts as a runaway.
 FUEL = 10_000
 
-# Structural core forms a macro may not shadow.  `and`, `or`, and `cond`
-# are intentionally absent: they are expressible as macros, so user
+# Structural core forms a macro may not shadow.  `and`, `or`, `cond` and the
+# let family are absent: they are expressible as macros, so user
 # definitions take precedence over the built-in forms.
 RESERVED_NAMES = frozenset({
     "quote", "quasiquote", "unquote", "unquote-splicing",

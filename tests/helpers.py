@@ -96,6 +96,38 @@ LET_HELPER_MACROS = """
    (let-helper ?other-bindings (?i . ?ids) (?e . ?exps) . ?bodies)])
 """
 
+# The let family as pattern macros, the reference the built-in lowering in
+# `forms` is compared against.  `let` runs two accumulator passes so its
+# inits evaluate in source order.
+BOOT_LET_MACROS = """
+(define-syntax let
+  [(let ?bindings . ?bodies) (let-reverse ?bindings () . ?bodies)])
+
+(define-syntax let-reverse
+  [(let-reverse () ?acc . ?bodies) (let-build ?acc () () . ?bodies)]
+  [(let-reverse (?binding . ?rest) ?acc . ?bodies)
+   (let-reverse ?rest (?binding . ?acc) . ?bodies)])
+
+(define-syntax let-build
+  [(let-build () ?ids ?exps . ?bodies) ((lambda ?ids . ?bodies) . ?exps)]
+  [(let-build ((?i ?e) . ?other) ?ids ?exps . ?bodies)
+   (let-build ?other (?i . ?ids) (?e . ?exps) . ?bodies)])
+
+(define-syntax let*
+  [(let* () . ?bodies) ((lambda () . ?bodies))]
+  [(let* ((?i ?e) . ?rest) . ?bodies)
+   ((lambda (?i) (let* ?rest . ?bodies)) ?e)])
+
+(define-syntax letrec
+  [(letrec ?bindings . ?bodies)
+   ((lambda () (letrec-defines ?bindings . ?bodies)))])
+
+(define-syntax letrec-defines
+  [(letrec-defines () . ?bodies) (begin . ?bodies)]
+  [(letrec-defines ((?name ?exp) . ?rest) . ?bodies)
+   (begin (define ?name ?exp) (letrec-defines ?rest . ?bodies))])
+"""
+
 COLORS = ("red", "yellow", "blue", "white")
 COUNTRIES = ("portugal", "spain", "france", "belgium", "germany",
              "luxembourg", "italy", "switzerland")

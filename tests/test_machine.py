@@ -174,6 +174,37 @@ def test_let_bindings_evaluate_in_source_order(machine):
     assert write_value(ev(machine, "order")) == "(b a)"
 
 
+def test_let_family_is_built_in(machine):
+    # the names of the helper macros the let family was once built from are
+    # free for user code
+    assert Machine().macros == {}
+    for name in ("let-build", "let-reverse", "letrec-defines"):
+        ev(machine, f"(define {name} (lambda (x) (* x 2)))")
+        assert ev(machine, f"({name} 21)") == 42
+
+
+@pytest.mark.parametrize("text", [
+    "(let x)", "(let (x) x)", "(let ((x)) x)", "(let ((1 2)) 3)",
+    "(let ((x 1) (x 2)) x)", "(letrec ((x)) 1)", "(let* ((x 1) . 2) x)",
+    "(let loop ((i 0)) i)", "(let ())", "(let* ())", "(letrec ())",
+])
+def test_malformed_let_family_reported_at_the_form(machine, text):
+    with pytest.raises(FormError) as excinfo:
+        ev(machine, "(list 1\n   " + text + ")")
+    assert excinfo.value.label == "SyntaxError"
+    assert (excinfo.value.line, excinfo.value.col) == (2, 4)
+
+
+def test_let_family_with_2000_bindings(machine):
+    n = 2000
+    chained = "((x0 0) " + " ".join(f"(x{i} (+ x{i - 1} 1))"
+                                    for i in range(1, n)) + ")"
+    assert ev(machine, f"(let* {chained} x{n - 1})") == n - 1
+    assert ev(machine, f"(letrec {chained} x{n - 1})") == n - 1
+    parallel = "(" + " ".join(f"(x{i} {i})" for i in range(n)) + ")"
+    assert ev(machine, f"(let {parallel} (+ x0 x{n - 1}))") == n - 1
+
+
 def test_let_is_parallel_not_sequential(machine):
     ev(machine, "(define x 10)")
     assert ev(machine, "(let ((x 1) (y x)) y)") == 10
