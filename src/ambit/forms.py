@@ -27,10 +27,14 @@ an enclosing lambda becomes a (depth, index) pair: the frame `depth` links
 out, slot `index`.  Any other name is global and is read by symbol from the
 machine's global table at run time, so later definitions are seen.  The
 addresses are filled in once the whole top-level form is parsed, so a
-reference may precede the body `define` it names.  Then an application whose
-operator is a global bound to a pure primitive, and whose operands are all
-computed inline, is marked with that primitive (`AppExpr.prim`); the machine
-computes it inline while the global still holds that primitive.
+reference may precede the body `define` it names.  Then each node's class
+is picked once, so the machine dispatches on it: a reference becomes a
+`GlobalRef`, a `LocalRef0` or a `LocalRef1` (depth 0 or 1).  An application
+whose operator is a global holding an ordinary primitive of fitting arity
+gets it in `AppExpr.prim`: with a pure primitive and operands all computed
+inline it is computed inline too (`PrimApp1`, `PrimApp2`, `PrimAppN`, by
+operand count), else it is a `PrimCall`.  An inline `(require e)` before
+the last form of a body is a `RequireStmt`, whose value is dropped.
 """
 
 from . import syntax
@@ -119,8 +123,8 @@ class BeginExpr:
 
 
 class AppExpr:
-    """`prim` is the pure primitive the operator's global held when the form
-    was parsed, if the application can be computed inline; else None."""
+    """`prim` is the ordinary primitive the operator's global held, with a
+    fitting arity, when the form was parsed; else None."""
 
     __slots__ = ("op", "args", "op_name", "line", "col", "source", "prim")
 
@@ -160,6 +164,21 @@ class ChooseExpr:
 
     def __init__(self, exprs):
         self.exprs = exprs
+
+
+def _node_class(name, base):
+    # no slot is added, so `parse_core` can reassign a node's `__class__`
+    return type(name, (base,), {"__slots__": ()})
+
+
+GlobalRef = _node_class("GlobalRef", VarRef)
+LocalRef0 = _node_class("LocalRef0", VarRef)
+LocalRef1 = _node_class("LocalRef1", VarRef)
+PrimAppN = _node_class("PrimAppN", AppExpr)
+PrimApp1 = _node_class("PrimApp1", PrimAppN)
+PrimApp2 = _node_class("PrimApp2", PrimAppN)
+RequireStmt = _node_class("RequireStmt", PrimApp1)
+PrimCall = _node_class("PrimCall", AppExpr)
 
 
 _S_QUOTE = intern("quote")
@@ -210,8 +229,8 @@ class _Scope:
 
     The top-level scope has no slots.  All scopes of one top-level form share
     its macro table, its source name, the list of (VarRef, scope) pairs
-    still to resolve and the list of applications with a named operator,
-    each after the applications among its operands.
+    still to resolve and the list of applications with a named operator and
+    of bodies (tuples), each after the applications within it.
     """
 
     __slots__ = ("slots", "parent", "refs", "apps", "macros", "source")
@@ -230,9 +249,17 @@ class _Scope:
                       self.refs, self.apps, self.macros, self.source)
 
     def closure(self, params, rest, body):
+        body = tuple(body)
+        self.apps.append(body)
         # the slots after the parameters are the ones the body's defines added
-        return LambdaExpr(params, rest, tuple(body),
+        return LambdaExpr(params, rest, body,
                           len(self.slots) - len(params) - (rest is not None))
+
+    def begin(self, body):
+        if len(body) == 1:
+            return body[0]
+        self.apps.append(body)
+        return BeginExpr(body)
 
     def define(self, name, init):
         # a parameter of the same name keeps its slot
@@ -244,8 +271,7 @@ def parse_core(form, macros, source="<input>", global_table=None):
     """Expand the macro uses in one datum, validate it, compile it to a core
     form, and give each of its variables a lexical address.  `macros` maps
     each macro name to its clauses (see `syntax`); with the machine's
-    `global_table`, the applications that can be computed inline are
-    marked."""
+    `global_table`, the applications of primitives are marked."""
     top = _Scope(None, None, [], [], macros, source)
     core = _parse(form, top)
     for ref, scope in top.refs:
@@ -255,32 +281,37 @@ def parse_core(form, macros, source="<input>", global_table=None):
             if index is not None:
                 ref.depth = depth
                 ref.index = index
+                if depth < 2:
+                    ref.__class__ = LocalRef1 if depth else LocalRef0
                 break
             scope = scope.parent
             depth += 1
+        else:
+            ref.__class__ = GlobalRef
     # each pair holds a scope and every scope holds this list: emptying it
     # lets reference counting free the scopes
     top.refs.clear()
-    if global_table is not None:
-        for app in top.apps:
-            prim = global_table.get(app.op.name)
-            if (type(prim) is Primitive and prim.pure
-                    and app.op.index is None):
-                _mark_inline(app, prim)
+    for app in top.apps if global_table is not None else ():
+        if type(app) is tuple:
+            for node in app[:-1]:
+                if type(node) is PrimApp1 and node.prim.name == "require":
+                    node.__class__ = RequireStmt
+            continue
+        prim = global_table.get(app.op.name)
+        na = len(app.args)
+        if (type(prim) is not Primitive or prim.control
+                or type(app.op) is not GlobalRef or na < prim.min_args
+                or prim.max_args is not None and na > prim.max_args):
+            continue
+        app.prim = prim
+        inline = prim.pure and all(isinstance(a, _INLINE) for a in app.args)
+        app.__class__ = _PRIM_APPS.get(na, PrimAppN) if inline else PrimCall
     return core
 
 
-def _mark_inline(app, prim):
-    na = len(app.args)
-    if na < prim.min_args or (prim.max_args is not None
-                              and na > prim.max_args):
-        return
-    for arg in app.args:
-        t = type(arg)
-        if not (t is VarRef or t is Literal or t is QuoteExpr
-                or t is LambdaExpr or t is AppExpr and arg.prim is not None):
-            return
-    app.prim = prim
+# the operands with no observable evaluation steps, computed inline
+_INLINE = (VarRef, Literal, QuoteExpr, LambdaExpr, PrimAppN)
+_PRIM_APPS = {1: PrimApp1, 2: PrimApp2}
 
 
 def _parse(form, scope):
@@ -345,7 +376,7 @@ def _parse_pair(form, scope):
                 return Literal(VOID)
             if len(items) == 2:
                 return _parse(items[1], scope)
-            return BeginExpr(tuple(_parse(b, scope) for b in items[1:]))
+            return scope.begin(tuple(_parse(b, scope) for b in items[1:]))
         if head is _S_AND:
             return AndExpr(tuple(_parse(e, scope) for e in items[1:]))
         if head is _S_OR:
@@ -405,7 +436,7 @@ def _parse_cond(form, clauses, scope):
                 raise _bad(form, "cond: else clause must be last")
             if len(items) < 2:
                 raise _bad(form, "cond: empty else clause")
-            result = _body_expr(tuple(_parse(e, scope) for e in items[1:]))
+            result = scope.begin(tuple(_parse(e, scope) for e in items[1:]))
             continue
         test = _parse(items[0], scope)
         if len(items) == 1:
@@ -413,7 +444,7 @@ def _parse_cond(form, clauses, scope):
             result = OrExpr((test, result))
         else:
             result = IfExpr(
-                test, _body_expr(tuple(_parse(e, scope) for e in items[1:])),
+                test, scope.begin(tuple(_parse(e, scope) for e in items[1:])),
                 result)
     return result
 
@@ -453,10 +484,6 @@ def _parse_let(form, items, scope):
         scope = scope.parent
         node = _app(op, (_parse(init, scope),), scope.source)
     return node
-
-
-def _body_expr(body):
-    return body[0] if len(body) == 1 else BeginExpr(body)
 
 
 def _splice_items(m, args):

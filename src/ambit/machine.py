@@ -16,10 +16,11 @@ unbound-variable error.
 Each core form evaluates itself: this module gives every node class of
 `forms` a `run(m, env, k)` method, which evaluates the form toward `k`, and
 a `val(m, env)` method, which returns the form's value when it has no
-observable evaluation steps and `_STEP` when it needs the machine.
-Variables, literals, quotes and lambdas are computed inline, and so is an
-application `forms` marked as a pure primitive's while the operator's
-global still holds that primitive; a redefined `+` takes the stepped path.
+observable evaluation steps and `_STEP` when it needs the machine.  The
+classes `parse_core` picks have their own: a `GlobalRef`, `LocalRef0` or
+`LocalRef1` reads its variable without a depth loop, and a `PrimApp1`,
+`PrimApp2` or `PrimAppN` calls its primitive inline, as a `PrimCall` does
+once its operands are in, while the operator's global still holds it.
 A `run` descends only into the subforms of its own form, and follows the
 chain of ifs a `cond` becomes in a loop.  Entering a closure body
 (`apply_proc`), delivering to a continuation (`apply_cont`) and resuming a
@@ -33,7 +34,8 @@ only for a form that needs the machine.
 which unwinds whatever handler was computing it to the trampoline, and the
 trampoline resumes the most recent choice point.  A value is always
 computed before anything is assigned from it, so the unwinding leaves
-nothing half done, and `Backtrack` never leaves `trampoline`.
+nothing half done, and `Backtrack` never leaves `trampoline`.  A body's
+loop resumes the choice point itself for a `RequireStmt`, raising nothing.
 """
 
 import sys
@@ -41,8 +43,10 @@ import sys
 from . import syntax
 from .errors import EvalError, SchemeError
 from .forms import (
-    AndExpr, AppExpr, BeginExpr, CallccExpr, ChooseExpr, DefineExpr, IfExpr,
-    LambdaExpr, Literal, OrExpr, QuoteExpr, SetExpr, VarRef, parse_core,
+    AndExpr, AppExpr, BeginExpr, CallccExpr, ChooseExpr, DefineExpr,
+    GlobalRef, IfExpr, LambdaExpr, Literal, LocalRef0, LocalRef1, OrExpr,
+    PrimApp1, PrimApp2, PrimAppN, QuoteExpr, RequireStmt, SetExpr,
+    VarRef, parse_core,
 )
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
@@ -124,7 +128,8 @@ class Machine:
         definitions survive, the fail chain is restored to its state before
         this form, and the trace stack is cleared.  Any other exception the
         host raises on the way (say, RecursionError on a deeply nested form)
-        leaves the same state and surfaces as an InternalError.
+        leaves the same state and surfaces as an InternalError, and Ctrl-C
+        (KeyboardInterrupt) as an `Interrupted` error.
         """
         form = datum.value if isinstance(datum, SourceDatum) else datum
         saved_fail = self.fail_reg
@@ -138,12 +143,14 @@ class Machine:
             self.k_reg = self.halt
             self.pc = _run
             return self.trampoline()
-        except Exception as err:
+        except (Exception, KeyboardInterrupt) as err:
             self.fail_reg = saved_fail
             self.trace.clear()
             self.pc = None
             if isinstance(err, SchemeError):
                 raise
+            if isinstance(err, KeyboardInterrupt):
+                raise EvalError("Interrupted", "evaluation stopped") from err
             raise EvalError("InternalError",
                             f"{type(err).__name__}: {err}") from err
 
@@ -191,15 +198,32 @@ def _deliver(exp, m, env, k):
 
 
 def _var_val(ref, m, env):
-    index = ref.index
-    if index is None:
-        value = m.globals.get(ref.name, UNASSIGNED)
-    else:
-        depth = ref.depth
-        while depth:
-            env = env[0]
-            depth -= 1
-        value = env[index]
+    depth = ref.depth
+    while depth:
+        env = env[0]
+        depth -= 1
+    value = env[ref.index]
+    if value is UNASSIGNED:
+        raise EvalError("UnboundVariable", ref.name.name)
+    return value
+
+
+def _global_val(ref, m, env):
+    try:
+        return m.globals[ref.name]
+    except KeyError:
+        raise EvalError("UnboundVariable", ref.name.name) from None
+
+
+def _local0_val(ref, m, env):
+    value = env[ref.index]
+    if value is UNASSIGNED:
+        raise EvalError("UnboundVariable", ref.name.name)
+    return value
+
+
+def _local1_val(ref, m, env):
+    value = env[0][ref.index]
     if value is UNASSIGNED:
         raise EvalError("UnboundVariable", ref.name.name)
     return value
@@ -207,6 +231,9 @@ def _var_val(ref, m, env):
 
 VarRef.val = _var_val
 VarRef.run = _deliver
+GlobalRef.val = _global_val
+LocalRef0.val = _local0_val
+LocalRef1.val = _local1_val
 Literal.val = lambda lit, m, env: lit.value
 Literal.run = lambda lit, m, env, k: apply_cont(m, k, lit.value)
 QuoteExpr.val = lambda quote, m, env: quote.datum
@@ -214,40 +241,56 @@ QuoteExpr.run = lambda quote, m, env, k: apply_cont(m, k, quote.datum)
 LambdaExpr.val = lambda lam, m, env: Closure(lam, env)
 LambdaExpr.run = _deliver
 for _cls in (IfExpr, DefineExpr, SetExpr, BeginExpr, AndExpr, OrExpr,
-             CallccExpr, ChooseExpr):
+             CallccExpr, ChooseExpr, AppExpr):
     _cls.val = _step
 
 
-def _app_val(app, m, env):
-    """A marked application of a pure primitive, while its operator's
-    global still holds that primitive.  Its operands are marked inline too,
-    so only a rebound operator nested among them can make this give up,
-    after which the stepped path computes those operands again; a
-    `(require #t)` among them computed before the give-up is harmlessly
-    computed again, and a `(require #f)` raises `Backtrack` to the
-    trampoline, as it would on the stepped path.  Most
-    primitive calls take one or two operands, which are computed without
-    building the tuple one operand at a time."""
+# A `PrimApp*` gives up while its operator's global does not hold its
+# primitive.  Only a rebound operator nested among its operands can make it
+# give up after computing some, which the stepped path then computes again;
+# a `(require #f)` among them raises `Backtrack`, as it would there.
+def _prim_app1_val(app, m, env):
     prim = app.prim
-    if prim is None or m.globals.get(app.op.name) is not prim:
+    if m.globals.get(app.op.name) is not prim:
+        return _STEP
+    a = app.args[0].val(m, env)
+    return _STEP if a is _STEP else prim.fn(m, (a,))
+
+
+def _prim_app2_val(app, m, env):
+    prim = app.prim
+    if m.globals.get(app.op.name) is not prim:
         return _STEP
     operands = app.args
-    if len(operands) == 1:
-        a = operands[0].val(m, env)
-        return _STEP if a is _STEP else prim.fn(m, (a,))
-    if len(operands) == 2:
-        a = operands[0].val(m, env)
-        if a is _STEP:
-            return _STEP
-        b = operands[1].val(m, env)
-        return _STEP if b is _STEP else prim.fn(m, (a, b))
+    a = operands[0].val(m, env)
+    if a is _STEP:
+        return _STEP
+    b = operands[1].val(m, env)
+    return _STEP if b is _STEP else prim.fn(m, (a, b))
+
+
+def _prim_app_val(app, m, env):
+    prim = app.prim
+    if m.globals.get(app.op.name) is not prim:
+        return _STEP
     args = ()
-    for arg in operands:
+    for arg in app.args:
         value = arg.val(m, env)
         if value is _STEP:
             return _STEP
         args += (value,)
     return prim.fn(m, args)
+
+
+# what a `RequireStmt` gives for a false test, so its body backtracks
+_FAIL = object()
+
+
+def _require_stmt_val(app, m, env):
+    if m.globals.get(app.op.name) is not app.prim:
+        return _STEP
+    test = app.args[0].val(m, env)
+    return _FAIL if test is False else test
 
 
 def _app_run(app, m, env, k):
@@ -259,8 +302,11 @@ def _app_run(app, m, env, k):
         _eval_operands(m, proc, app, 0, (), env, k)
 
 
-AppExpr.val = _app_val
 AppExpr.run = _app_run
+PrimAppN.val = _prim_app_val
+PrimApp1.val = _prim_app1_val
+PrimApp2.val = _prim_app2_val
+RequireStmt.val = _require_stmt_val
 
 
 def cont_operator(m):
@@ -270,11 +316,7 @@ def cont_operator(m):
 
 def cont_operand(m):
     proc, app, i, acc, env, k = m.fields_reg
-    acc += (m.value_reg,)
-    if i == len(app.args):
-        apply_proc(m, proc, acc, k, app)
-    else:
-        _eval_operands(m, proc, app, i, acc, env, k)
+    _eval_operands(m, proc, app, i, acc + (m.value_reg,), env, k)
 
 
 def _eval_operands(m, proc, app, i, acc, env, k):
@@ -290,7 +332,11 @@ def _eval_operands(m, proc, app, i, acc, env, k):
             return
         acc += (value,)
         i += 1
-    apply_proc(m, proc, acc, k, app)
+    if proc is app.prim:
+        # a `PrimCall`'s primitive, computed before `k`'s spine is current
+        apply_cont(m, k, proc.fn(m, acc))
+    else:
+        apply_proc(m, proc, acc, k, app)
 
 
 # the branch an `if` without an alternative takes when its test is false
@@ -391,8 +437,12 @@ def _run_body(m, body, i, env, k):
     while i < last:
         exp = body[i]
         i += 1
-        if exp.val(m, env) is _STEP:
+        value = exp.val(m, env)
+        if value is _STEP:
             exp.run(m, env, m.make_cont(cont_begin, body, i, env, k))
+            return
+        if value is _FAIL:
+            invoke_fail(m)
             return
     body[last].run(m, env, k)
 
@@ -559,8 +609,9 @@ def _choose_run(exp, m, env, k):
     if not alternatives:
         invoke_fail(m)
         return
-    m.fail_reg = ChoicePoint(alternatives[1:], env, k, m.fail_reg,
-                             m.trace.snapshot())
+    if len(alternatives) > 1:
+        m.fail_reg = ChoicePoint(alternatives, 1, env, k, m.fail_reg,
+                                 m.trace.snapshot())
     alternatives[0].run(m, env, k)
 
 
@@ -574,16 +625,17 @@ def invoke_fail(m):
     "no more choices" to the halt continuation.
     """
     f = m.fail_reg
-    while type(f) is ChoicePoint and not f.alternatives:
-        f = f.parent
     if type(f) is not ChoicePoint:
-        m.fail_reg = f
         apply_cont(m, m.halt, NO_MORE_CHOICES)
         return
     alternatives = f.alternatives
-    m.fail_reg = ChoicePoint(alternatives[1:], f.env, f.k, f.parent, f.spine)
+    index = f.index + 1
+    # the chain holds no point whose last alternative has been taken
+    m.fail_reg = (f.parent if index == len(alternatives) else
+                  ChoicePoint(alternatives, index, f.env, f.k, f.parent,
+                              f.spine))
     m.trace.restore(f.spine)
-    m.exp_reg = alternatives[0]
+    m.exp_reg = alternatives[index - 1]
     m.env_reg = f.env
     m.k_reg = f.k
     m.pc = _run

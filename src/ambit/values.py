@@ -136,14 +136,15 @@ class Cont:
 
 
 class ChoicePoint:
-    """One pending `choose`: its untried alternatives plus everything needed
-    to resume there (frame, continuation, trace spine, parent point).
-    """
+    """One pending `choose`: its untried alternatives `alternatives[index:]`
+    plus everything needed to resume there (frame, continuation, trace
+    spine, parent point)."""
 
-    __slots__ = ("alternatives", "env", "k", "parent", "spine")
+    __slots__ = ("alternatives", "index", "env", "k", "parent", "spine")
 
-    def __init__(self, alternatives, env, k, parent, spine):
+    def __init__(self, alternatives, index, env, k, parent, spine):
         self.alternatives = alternatives
+        self.index = index
         self.env = env
         self.k = k
         self.parent = parent

@@ -1,5 +1,6 @@
 import io
 import random
+import time
 from itertools import product
 
 import pytest
@@ -303,3 +304,24 @@ def test_long_body_of_requires_on_a_small_stack():
         return lam.name, top.name
 
     assert run_on_small_stack(work) == ("done", "done")
+
+
+def _exhaustion_seconds(width):
+    """Fastest of five exhaustions of a `choose` of `width` alternatives."""
+    machine = Machine(stdout=io.StringIO())
+    alternatives = " ".join(map(str, range(width)))
+    ev(machine, f"(define run (lambda () (let ((x (choose {alternatives}))) "
+                f"(require (< x 0)) x)))")
+    best = None
+    for _ in range(5):
+        start = time.perf_counter()
+        assert ev(machine, "(run)") == NO_MORE_CHOICES
+        took = time.perf_counter() - start
+        best = took if best is None else min(best, took)
+    return best
+
+
+def test_exhausting_a_wide_choose_takes_linear_time():
+    # each resumption takes the next alternative by index, so eight times
+    # the alternatives take about eight times as long
+    assert _exhaustion_seconds(8000) / _exhaustion_seconds(1000) <= 10

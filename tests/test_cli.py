@@ -4,8 +4,9 @@ import pytest
 
 from helpers import COLOR_EUROPE_PROGRAM, SUM_PROGRAM, coloring_solutions, coloring_text
 
-from ambit import Machine
+from ambit import Machine, intern
 from ambit.cli import eval_string, main, parse_args, repl_loop, run_file
+from ambit.values import Primitive
 
 
 def run_repl(input_text, stack_trace=True):
@@ -201,3 +202,20 @@ def test_repl_survives_a_host_recursion_error():
     assert code == 0
     assert out == "3\n"
     assert "InternalError: RecursionError" in err
+
+
+def test_repl_survives_ctrl_c_and_keeps_the_fail_chain():
+    def interrupt(m, args):
+        raise KeyboardInterrupt
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    machine = Machine(stdout=stdout)
+    machine.globals[intern("interrupt")] = Primitive("interrupt", interrupt,
+                                                     0, 0)
+    repl_loop(machine, stdin=io.StringIO(
+        "(choose 1 2 3)\n(define f (lambda (x) (+ x (interrupt))))\n"
+        "(f 1)\n(choose)\n(+ 1 2)\n"), stdout=stdout, stderr=stderr)
+    assert stdout.getvalue() == "1\n2\n3\n"
+    assert "Interrupted: evaluation stopped" in stderr.getvalue()
+    assert stderr.getvalue().endswith("==> ==> ==> ")
+    assert machine.trace.spine is None and machine.pc is None

@@ -11,8 +11,9 @@ from helpers import (
 from ambit import Machine, equal, intern, read_all, write_value
 from ambit.errors import FormError, MacroError
 from ambit.forms import (
-    AppExpr, BeginExpr, ChooseExpr, DefineExpr, IfExpr, LambdaExpr, Literal,
-    QuoteExpr, VarRef, parse_core,
+    AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
+    LambdaExpr, Literal, LocalRef0, LocalRef1, PrimApp1, PrimApp2, PrimAppN,
+    PrimCall, QuoteExpr, RequireStmt, VarRef, parse_core,
 )
 from ambit.syntax import (
     MacroClause, define_macro, expand, instantiate, match_pattern,
@@ -37,25 +38,25 @@ def table_with(*sources):
 
 def show(core):
     """Scheme text for the core forms these tests produce."""
-    if type(core) is VarRef:
+    if isinstance(core, VarRef):
         return core.name.name
-    if type(core) is Literal:
+    if isinstance(core, Literal):
         return write_value(core.value)
-    if type(core) is QuoteExpr:
+    if isinstance(core, QuoteExpr):
         return f"(quote {write_value(core.datum)})"
-    if type(core) is IfExpr:
+    if isinstance(core, IfExpr):
         parts = [core.test, core.then] + ([core.alt] if core.alt else [])
         return "(if " + " ".join(map(show, parts)) + ")"
-    if type(core) is LambdaExpr:
+    if isinstance(core, LambdaExpr):
         params = " ".join(p.name for p in core.params)
         return f"(lambda ({params}) " + " ".join(map(show, core.body)) + ")"
-    if type(core) is DefineExpr:
+    if isinstance(core, DefineExpr):
         return f"(define {core.name.name} {show(core.expr)})"
-    if type(core) is BeginExpr:
+    if isinstance(core, BeginExpr):
         return "(begin " + " ".join(map(show, core.body)) + ")"
-    if type(core) is ChooseExpr:
+    if isinstance(core, ChooseExpr):
         return "(choose " + " ".join(map(show, core.exprs)) + ")"
-    assert type(core) is AppExpr
+    assert isinstance(core, AppExpr)
     return "(" + " ".join(map(show, (core.op,) + core.args)) + ")"
 
 
@@ -278,7 +279,7 @@ def test_macro_in_operand_position_not_expanded():
     form = datum("(f m 1)")
     assert expand(form, table) is form
     core = parse_core(form, table)
-    assert type(core.args[0]) is VarRef and core.args[0].name is intern("m")
+    assert isinstance(core.args[0], VarRef) and core.args[0].name is intern("m")
     assert show(core) == "(f m 1)"
 
 
@@ -359,3 +360,68 @@ def test_letrec_lowering_runs_like_the_reference_macros(text):
         values = [write_value(v) for v in exhaust_choices(machine, text)]
         runs.append((values, machine.stdout.getvalue()))
     assert runs[0] == runs[1]
+
+
+# --- the node class parse_core picks -----------------------------------------
+
+
+def core_of(text):
+    machine = Machine(stdout=io.StringIO())
+    return parse_core(datum(text), machine.macros, "<test>", machine.globals)
+
+
+def test_references_are_classed_by_depth():
+    core = core_of("(lambda (a) (lambda (b) (lambda (c) (f a b c g))))")
+    app = core.body[0].body[0].body[0]
+    assert [type(node) for node in (app.op,) + app.args] == [
+        GlobalRef, VarRef, LocalRef1, LocalRef0, GlobalRef]
+    # a body define's slot is local too
+    core = core_of("(lambda () (define d 1) d)")
+    assert type(core.body[1]) is LocalRef0
+    # without the global table, references are still classed
+    core = parse_core(datum("(lambda (a) (+ a b))"), {})
+    assert [type(node) for node in (core.body[0].op,) + core.body[0].args] \
+        == [GlobalRef, LocalRef0, GlobalRef]
+    assert type(core.body[0]) is AppExpr
+
+
+def test_inline_primitive_applications_are_classed_by_operand_count():
+    core = core_of("(lambda (x) (list (car x) (+ x 1) (list) (list 1 2 3) "
+                   "(not (= x (car x)))))")
+    app = core.body[0]
+    assert type(app) is PrimAppN
+    assert [type(arg) for arg in app.args] == [
+        PrimApp1, PrimApp2, PrimAppN, PrimAppN, PrimApp1]
+    assert app.prim.name == "list"
+
+
+def test_other_applications_of_primitives_are_prim_calls():
+    core = core_of("(lambda (x) (begin (display x) (+ 1 (f x)) "
+                   "(car (choose x 1))))")
+    assert [type(node) for node in core.body[0].body] == [
+        PrimCall, PrimCall, PrimCall]
+    assert core.body[0].body[1].prim.name == "+"
+
+
+def test_applications_left_generic():
+    # a closure, a local operator, a wrong arity, a control primitive
+    core = core_of("(lambda (car) (list (f 1) (car 1) (cdr 1 2) "
+                   "(apply f '())))")
+    assert type(core.body[0]) is PrimCall
+    assert [type(arg) for arg in core.body[0].args] == [AppExpr] * 4
+    assert all(arg.prim is None for arg in core.body[0].args)
+
+
+def test_require_in_a_body_before_its_last_form_is_a_statement():
+    core = core_of("(lambda (x) (require x) (require (car x)) "
+                   "(list (require x)) (require x))")
+    assert [type(node) for node in core.body] == [
+        RequireStmt, RequireStmt, PrimApp1, PrimApp1]
+    assert type(core.body[2].args[0]) is PrimApp1
+    core = core_of("(begin (require #t) (cond (#t (require #t) 1)) "
+                   "(let ((y 1)) (require y) (require (f y)) y))")
+    assert type(core.body[0]) is RequireStmt
+    assert type(core.body[1].then.body[0]) is RequireStmt
+    let_body = core.body[2].op.body
+    assert [type(node) for node in let_body] == [
+        RequireStmt, PrimCall, LocalRef0]
