@@ -306,22 +306,20 @@ def test_long_body_of_requires_on_a_small_stack():
     assert run_on_small_stack(work) == ("done", "done")
 
 
-def _exhaustion_seconds(width):
-    """Fastest of five exhaustions of a `choose` of `width` alternatives."""
-    machine = Machine(stdout=io.StringIO())
-    alternatives = " ".join(map(str, range(width)))
-    ev(machine, f"(define run (lambda () (let ((x (choose {alternatives}))) "
-                f"(require (< x 0)) x)))")
-    best = None
-    for _ in range(5):
-        start = time.perf_counter()
-        assert ev(machine, "(run)") == NO_MORE_CHOICES
-        took = time.perf_counter() - start
-        best = took if best is None else min(best, took)
-    return best
-
-
 def test_exhausting_a_wide_choose_takes_linear_time():
     # each resumption takes the next alternative by index, so eight times
-    # the alternatives take about eight times as long
-    assert _exhaustion_seconds(8000) / _exhaustion_seconds(1000) <= 10
+    # the alternatives take about eight times as long; the two widths are
+    # timed in turn, so a change in the host's speed reaches both
+    machine = Machine(stdout=io.StringIO())
+    for width in (1000, 8000):
+        alternatives = " ".join(map(str, range(width)))
+        ev(machine, f"(define run-{width} (lambda () (let ((x (choose "
+                    f"{alternatives}))) (require (< x 0)) x)))")
+    best = {}
+    for _ in range(5):
+        for width in (1000, 8000):
+            start = time.perf_counter()
+            assert ev(machine, f"(run-{width})") == NO_MORE_CHOICES
+            took = time.perf_counter() - start
+            best[width] = min(best.get(width, took), took)
+    assert best[8000] / best[1000] <= 10
