@@ -23,7 +23,7 @@ def ev(machine, text):
     return machine.eval_source(text)
 
 
-# --- random closed programs ---------------------------------------------------
+# --- random closed programs --------------------------------------------------
 
 
 def _int(draw, names, depth, helper):
@@ -142,7 +142,7 @@ def test_fast_paths_match_the_stepped_path(forms):
     assert run_program(forms, False) == run_program(forms, True)
 
 
-# --- pinned cases ---------------------------------------------------------------
+# --- pinned cases ------------------------------------------------------------
 
 
 def test_rebinding_plus_after_a_definition_that_uses_it(machine):

@@ -279,7 +279,8 @@ def test_macro_in_operand_position_not_expanded():
     form = datum("(f m 1)")
     assert expand(form, table) is form
     core = parse_core(form, table)
-    assert isinstance(core.args[0], VarRef) and core.args[0].name is intern("m")
+    assert isinstance(core.args[0], VarRef)
+    assert core.args[0].name is intern("m")
     assert show(core) == "(f m 1)"
 
 
