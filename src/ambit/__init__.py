@@ -14,7 +14,7 @@ from .errors import (
     EvalError, FormError, LexError, MacroError, ParseError, SchemeError,
 )
 from .machine import Machine, NO_MORE_CHOICES
-from .reader import read_all, read_datum, tokenize
+from .reader import read_all
 from .values import NIL, VOID, Pair, Symbol, equal, intern
 from .writer import display_value, write_value
 
@@ -37,7 +37,5 @@ __all__ = [
     "equal",
     "intern",
     "read_all",
-    "read_datum",
-    "tokenize",
     "write_value",
 ]

@@ -80,9 +80,10 @@ def _report_error(err, errout):
 def repl_loop(machine, stdin=None, stdout=None, stderr=None):
     """Read balanced datums (multi-line aware), evaluate, print, repeat.
 
-    Each line is lexed and parsed once, as it arrives; the datums of an
-    entry are evaluated when its last line closes them all.  Errors print a
-    traceback and the loop continues; EOF ends the session.
+    Each line is read once, as it arrives; the datums of an entry are
+    evaluated when its last line closes them all.  Errors print a traceback
+    and the loop continues, and Ctrl-C at the prompt drops the entry being
+    typed; EOF ends the session.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -91,14 +92,15 @@ def repl_loop(machine, stdin=None, stdout=None, stderr=None):
     while True:
         stderr.write(PROMPT if not entry.lines else CONT_PROMPT)
         stderr.flush()
-        line = stdin.readline()
+        try:
+            line = stdin.readline()
+        except KeyboardInterrupt:
+            stderr.write("KeyboardInterrupt\n")
+            entry = EntryReader()
+            continue
         if line == "":
             if entry.lines:
-                # report why the unfinished entry cannot be read
-                try:
-                    read_all("".join(entry.lines))
-                except SchemeError as err:
-                    _report_error(err, stderr)
+                _report_error(entry.eof_error(), stderr)
             break
         try:
             datums = entry.feed_line(line)

@@ -4,52 +4,26 @@ The reader accepts both `(...)` and `[...]` (a bracket must close the kind
 that opened it), quote shorthands, dotted pairs, `#(...)` vectors, `#t`/`#f`,
 64-bit integers, and floating-point reals.  `;` comments run to end of line.
 
-`tokenize` lexes text whose first line may have any number.  One `Parser`
-turns tokens into datums: open lists, vectors and quote prefixes wait on an
-explicit stack, so reading never recurses on the host however deep the
-input nests, and the parser can be fed tokens in pieces, handing back each
-datum as it completes.  `read_all` and `read_datum` feed it a whole token
-list.  `EntryReader` feeds it one REPL line at a time, so an entry of n
-lines is lexed and parsed once rather than n times; only a string literal
-that runs past the end of a line makes that line be lexed again with the
-next one.
+Reading is one pass.  A master regular expression walks the text one lexeme
+at a time, and each delimiter, prefix or atom acts at once on an explicit
+stack of open lists, vectors and quote prefixes; no token is ever built.
+Nesting costs heap rather than host stack, however deep the input.  The
+first error in text order is the one raised.  `EntryReader` reads an entry
+of an interactive session a line at a time, each line once: a string
+literal still open at the end of a line is a frame on the stack too, and
+the next line carries on with it.  `read_all` reads a whole text as one
+such line.
 """
 
 import re
+from itertools import chain
 
 from .errors import LexError, ParseError
 from .values import INT64_MAX, INT64_MIN, NIL, Pair, SourcePair, intern
 
-LPAREN = "lparen"
-RPAREN = "rparen"
-LBRACKET = "lbracket"
-RBRACKET = "rbracket"
-QUOTE = "quote"
-QUASIQUOTE = "quasiquote"
-UNQUOTE = "unquote"
-UNQUOTE_SPLICING = "unquote-splicing"
-VECTOR_OPEN = "vector-open"
-BOOLEAN = "boolean"
-INTEGER = "integer"
-REAL = "real"
-STRING = "string"
-SYMBOL = "symbol"
-DOT = "dot"
-EOF = "eof"
-
-
-class Token:
-    __slots__ = ("kind", "text", "line", "col", "value")
-
-    def __init__(self, kind, text, line, col, value=None):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.value = value
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
+# used by string->number as well
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_REAL_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?\Z")
 
 
 class SourceDatum:
@@ -61,391 +35,348 @@ class SourceDatum:
         self.col = col
 
 
-_DELIMITERS = frozenset(" \t\r\n()[]\";'`,")
-_WHITESPACE = frozenset(" \t\r\n")
 _STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-_REAL_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?\Z")
-
-
-def tokenize(text, line=1):
-    """Lex `text`, whose first line is numbered `line`, into a token list
-    terminated by an `eof` token."""
-    tokens = []
-    i = 0
-    n = len(text)
-    col = 1
-    while i < n:
-        ch = text[i]
-        if ch in _WHITESPACE:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token(LPAREN, "(", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == ")":
-            tokens.append(Token(RPAREN, ")", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "[":
-            tokens.append(Token(LBRACKET, "[", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "]":
-            tokens.append(Token(RBRACKET, "]", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "'":
-            tokens.append(Token(QUOTE, "'", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "`":
-            tokens.append(Token(QUASIQUOTE, "`", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == ",":
-            if i + 1 < n and text[i + 1] == "@":
-                tokens.append(Token(UNQUOTE_SPLICING, ",@", line, col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(Token(UNQUOTE, ",", line, col))
-                i += 1
-                col += 1
-            continue
-        if ch == '"':
-            tok, i, line, col = _lex_string(text, i, line, col)
-            tokens.append(tok)
-            continue
-        if ch == "#":
-            tok, i, col = _lex_hash(text, i, line, col)
-            tokens.append(tok)
-            continue
-        tok, i, col = _lex_atom(text, i, line, col)
-        tokens.append(tok)
-    tokens.append(Token(EOF, "", line, col))
-    return tokens
-
-
-def _lex_string(text, i, line, col):
-    start_i, start_line, start_col = i, line, col
-    n = len(text)
-    i += 1
-    col += 1
-    parts = []
-    while i < n and text[i] != '"':
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                break
-            esc = text[i + 1]
-            decoded = _STRING_ESCAPES.get(esc)
-            if decoded is None:
-                raise LexError(f"unknown string escape '\\{esc}'", line, col)
-            parts.append(decoded)
-            i += 2
-            col += 2
-        elif ch == "\n":
-            parts.append(ch)
-            i += 1
-            line += 1
-            col = 1
-        else:
-            parts.append(ch)
-            i += 1
-            col += 1
-    if i >= n:
-        raise LexError("unterminated string literal", start_line, start_col,
-                       unexpected_eof=True)
-    i += 1
-    col += 1
-    return (Token(STRING, text[start_i:i], start_line, start_col,
-                  "".join(parts)),
-            i, line, col)
-
-
-def _lex_hash(text, i, line, col):
-    n = len(text)
-    nxt = text[i + 1] if i + 1 < n else ""
-    if nxt == "(":
-        return Token(VECTOR_OPEN, "#(", line, col), i + 2, col + 2
-    if nxt in ("t", "f"):
-        after = text[i + 2] if i + 2 < n else ""
-        if after and after not in _DELIMITERS:
-            raise LexError(f"malformed boolean near '#{nxt}{after}'", line, col)
-        return (Token(BOOLEAN, text[i:i + 2], line, col, nxt == "t"),
-                i + 2, col + 2)
-    raise LexError(f"illegal character sequence '#{nxt}'", line, col)
-
-
-def _lex_atom(text, i, line, col):
-    n = len(text)
-    j = i
-    while j < n and text[j] not in _DELIMITERS:
-        j += 1
-    lexeme = text[i:j]
-    width = j - i
-    if lexeme == ".":
-        return Token(DOT, ".", line, col), j, col + width
-    first = lexeme[0]
-    looks_numeric = first.isdigit() or (
-        first in "+-" and len(lexeme) > 1 and lexeme[1].isdigit())
-    if looks_numeric:
-        if _INT_RE.match(lexeme):
-            value = int(lexeme)
-            if not INT64_MIN <= value <= INT64_MAX:
-                raise LexError(f"integer literal out of 64-bit range: {lexeme}",
-                               line, col)
-            return Token(INTEGER, lexeme, line, col, value), j, col + width
-        if _REAL_RE.match(lexeme):
-            return Token(REAL, lexeme, line, col, float(lexeme)), j, col + width
-        raise LexError(f"malformed number '{lexeme}'", line, col)
-    return Token(SYMBOL, lexeme, line, col, intern(lexeme)), j, col + width
-
-
 _QUOTE_NAMES = {
-    QUOTE: intern("quote"),
-    QUASIQUOTE: intern("quasiquote"),
-    UNQUOTE: intern("unquote"),
-    UNQUOTE_SPLICING: intern("unquote-splicing"),
+    "'": intern("quote"),
+    "`": intern("quasiquote"),
+    ",": intern("unquote"),
+    ",@": intern("unquote-splicing"),
 }
 
-_MATCHING_CLOSER = {LPAREN: RPAREN, LBRACKET: RBRACKET}
-_ATOMS = frozenset((SYMBOL, INTEGER, REAL, STRING, BOOLEAN))
+_ATOM = r"""[^ \t\r\n()\[\]";'`,]"""         # a character of an atom
+_END = f"(?!{_ATOM})"                         # the atom ends here
 
-# What an open construct on the parser's stack waits for.  A list frame is
-# [state, open token, anchor, last pair, closer kind]: its pairs hang off
-# the cdr of a throwaway anchor pair and grow at `last`.  A vector frame is
-# [_VECTOR, open token, values] and a quote frame is
-# [_QUOTE, quote token, quote symbol].
+# One alternative per kind of lexeme, the commonest first; each takes the
+# blanks after it along, so a match starts at its lexeme.  The atoms with a
+# group of their own are the common spellings, which need no further
+# check: a symbol starting with an ASCII character that cannot start a
+# number, a lone sign, or one starting with '.'; an integer of at most 18
+# digits; `#t` and `#f`.  Every other atom (a real, a longer integer, a
+# malformed number, a longer symbol starting with a sign, one starting
+# with a non-ASCII character, `#` followed by anything but `(`, `t` or
+# `f`) goes through `_atom`.
+_SCAN = re.compile("(?:" + "|".join((
+    r"([\x00-\x08\x0b\x0c\x0e-\x1f!$%&*/:<=>?@A-Z\\^_a-z{|}~\x7f]"
+    + _ATOM + r"*|[+-]" + _END + r"|\." + _ATOM + "+)",  # 1 symbol
+    r"([(\[])",                                     # 2 list open
+    r"([)\]])",                                     # 3 close
+    r"([+-]?[0-9]{1,18})" + _END,                   # 4 integer in range
+    r"(\n)",                                        # 5 newline
+    r'"((?s:[^"\\]*(?:\\.[^"\\]*)*))"',             # 6 string
+    r"('|`|,@?)",                                   # 7 quote prefix
+    r"(\.)" + _END,                                 # 8 dot
+    r"(#[tf])" + _END,                              # 9 boolean
+    r"(#\()",                                       # 10 vector open
+    r"(;[^\n]*)",                                   # 11 comment
+    r"(" + _ATOM + "+)",                            # 12 any other atom
+    r'(")',                                         # 13 string left open
+    r"([ \t\r]+)",                                  # 14 blanks at the start
+)) + r")[ \t\r]*")
+
+(_SYMBOL, _LIST_OPEN, _CLOSE, _INTEGER, _NEWLINE, _STRING, _QUOTE_PREFIX,
+ _DOT, _BOOLEAN, _VECTOR_OPEN, _COMMENT, _OTHER_ATOM, _OPEN_STRING,
+ _BLANKS) = range(1, 15)
+
+
+class _StringEnd:
+    """Stands first among a line's matches when the line closes a string
+    literal that the line before it left open."""
+
+    lastindex = 0
+
+
+# What the innermost open construct waits for.  The reader keeps it in
+# local variables as a frame (state, loc, opener, anchor, last, closer) and
+# pushes the frames around it on a stack.  A list's pairs hang off the cdr
+# of a throwaway anchor pair and grow at `last`; a vector's values are a
+# Python list in `last`; a quote prefix keeps its symbol in `anchor`; an
+# open string literal keeps the text decoded so far in `anchor` and the
+# position of a backslash that ended the last line in `last`.  `loc` is
+# where the construct starts and `opener` how it starts.
+_TOP = "top"              # a datum, or nothing: the reader is idle
 _ITEMS = "items"          # list elements, '.', or the closer
 _AFTER_DOT = "after-dot"  # the tail datum after '.'
 _TAIL = "tail"            # only the closer, the tail having been read
 _VECTOR = "vector"        # vector elements or ')'
 _QUOTE = "quoted"         # the one datum a quote prefix applies to
+_STRING_OPEN = "string"   # the rest of a string literal
+
+_IDLE = (_TOP, None, None, None, None, None)
 
 
-def _not_closed_after_tail(tok):
-    return ParseError("expected a single datum after '.'", tok.line, tok.col)
+def _tail_error(line, col):
+    return ParseError("expected a single datum after '.'", line, col)
 
 
-class Parser:
-    """Turns tokens into datums, fed in as many pieces as the caller likes.
-
-    Open lists, vectors and quote prefixes live on `stack`, innermost last,
-    so nesting costs heap rather than host stack, and a datum may span any
-    number of `feed` calls.
-    """
-
-    __slots__ = ("stack",)
-
-    def __init__(self):
-        self.stack = []
-
-    @property
-    def idle(self):
-        """True between datums, when nothing is open."""
-        return not self.stack
-
-    def feed(self, tokens, pos=0, limit=-1):
-        """Parse `tokens` from `pos` until their `eof` token, or until
-        `limit` datums are complete; returns (datums, pos).
-
-        Raises ParseError at the first token that cannot continue what was
-        read before it.  Running out of tokens is not an error here: a
-        datum left open waits for the next call (see `eof_error`).
-        """
-        stack = self.stack
-        out = []
-        while True:
-            tok = tokens[pos]
-            kind = tok.kind
-            pos += 1
-            if kind in _ATOMS:
-                value = tok.value
-            elif kind is LPAREN or kind is LBRACKET:
-                if stack and stack[-1][0] is _TAIL:
-                    raise _not_closed_after_tail(tok)
-                anchor = Pair(None, NIL)
-                stack.append([_ITEMS, tok, anchor, anchor,
-                              _MATCHING_CLOSER[kind]])
-                continue
-            elif kind is RPAREN or kind is RBRACKET:
-                top = stack[-1] if stack else None
-                state = top[0] if stack else None
-                if state is _ITEMS or state is _TAIL:
-                    opener = top[1]
-                    if kind is not top[4]:
-                        if state is _TAIL:
-                            raise _not_closed_after_tail(tok)
-                        raise ParseError(
-                            f"mismatched delimiter: '{opener.text}' closed "
-                            f"by '{tok.text}'", tok.line, tok.col)
-                    stack.pop()
-                    value = top[2].cdr
-                    if value is not NIL:
-                        # The head pair carries the open delimiter's position.
-                        value.loc = (opener.line, opener.col)
-                elif state is _VECTOR:
-                    if kind is RBRACKET:
-                        raise ParseError("unexpected ']' in vector",
-                                         tok.line, tok.col)
-                    stack.pop()
-                    value = top[2]
-                else:
-                    raise ParseError(f"unexpected '{tok.text}'",
-                                     tok.line, tok.col)
-                tok = top[1]
-            elif kind is EOF:
-                pos -= 1
-                break
-            elif kind is DOT:
-                top = stack[-1] if stack else None
-                state = top[0] if stack else None
-                if state is _ITEMS:
-                    if top[3] is top[2]:
-                        raise ParseError("'.' at start of list",
-                                         tok.line, tok.col)
-                    top[0] = _AFTER_DOT
-                    continue
-                if state is _VECTOR:
-                    raise ParseError("unexpected '.' in vector",
-                                     tok.line, tok.col)
-                if state is _TAIL:
-                    raise _not_closed_after_tail(tok)
-                raise ParseError("'.' is not the start of a datum",
-                                 tok.line, tok.col)
-            else:
-                if stack and stack[-1][0] is _TAIL:
-                    raise _not_closed_after_tail(tok)
-                if kind is VECTOR_OPEN:
-                    stack.append([_VECTOR, tok, []])
-                else:
-                    stack.append([_QUOTE, tok, _QUOTE_NAMES[kind]])
-                continue
-            # `value` is complete and starts at `tok`: hand it to the
-            # innermost open construct, closing every quote it completes.
-            line, col = tok.line, tok.col
-            while stack:
-                top = stack[-1]
-                state = top[0]
-                if state is _ITEMS:
-                    pair = SourcePair(value, NIL, (line, col))
-                    top[3].cdr = pair
-                    top[3] = pair
-                    break
-                if state is _QUOTE:
-                    stack.pop()
-                    quote = top[1]
-                    value = SourcePair(top[2],
-                                       SourcePair(value, NIL, (line, col)),
-                                       (quote.line, quote.col))
-                    line, col = quote.line, quote.col
-                    continue
-                if state is _VECTOR:
-                    top[2].append(value)
-                    break
-                if state is _AFTER_DOT:
-                    top[3].cdr = value
-                    top[0] = _TAIL
-                    break
-                raise _not_closed_after_tail(tok)
-            else:
-                out.append(SourceDatum(value, line, col))
-                if len(out) == limit:
-                    break
-        return out, pos
-
-    def eof_error(self, eof):
-        """The error for input that ends at token `eof` before a datum."""
-        top = self.stack[-1] if self.stack else None
-        if top is None or top[0] is _QUOTE or top[0] is _AFTER_DOT:
-            return ParseError("unexpected end of input", eof.line, eof.col,
-                              unexpected_eof=True)
-        opener = top[1]
-        return ParseError(f"unclosed '{opener.text}'", opener.line,
-                          opener.col, unexpected_eof=True)
+def _scan_string(text, i, line, base, parts, escape):
+    """Decode string-literal text from `text[i]` into `parts`, up to the
+    closing quote; `escape` is the (line, col) of a backslash whose escape
+    starts at `i`, or None.  Returns (j, line, base, escape): j is just past
+    the quote, or -1 if `text` ends first.  An unknown escape raises
+    LexError at its backslash."""
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if escape is not None:
+            decoded = _STRING_ESCAPES.get(ch)
+            if decoded is None:
+                raise LexError(f"unknown string escape '\\{ch}'", *escape)
+            parts.append(decoded)
+            escape = None
+        elif ch == '"':
+            return i + 1, line, base, None
+        elif ch == "\\":
+            escape = (line, i - base)
+        else:
+            if ch == "\n":
+                line += 1
+                base = i
+            parts.append(ch)
+        i += 1
+    return -1, line, base, escape
 
 
-def read_datum(tokens, pos=0):
-    """Parse exactly one datum starting at `pos`; returns (SourceDatum, pos)."""
-    parser = Parser()
-    datums, pos = parser.feed(tokens, pos, 1)
-    if not datums:
-        raise parser.eof_error(tokens[pos])
-    return datums[0], pos
-
-
-def read_all(text):
-    """Parse every datum in `text`; empty input yields an empty list."""
-    tokens = tokenize(text)
-    parser = Parser()
-    datums, pos = parser.feed(tokens)
-    if not parser.idle:
-        raise parser.eof_error(tokens[pos])
-    return datums
+def _atom(lexeme, text, start, loc):
+    """The value of an atom outside the scanner's common spellings."""
+    first = lexeme[0]
+    if first == "#":
+        nxt = text[start + 1:start + 2]
+        if nxt in ("t", "f"):
+            raise LexError(f"malformed boolean near '{lexeme[:3]}'", *loc)
+        raise LexError(f"illegal character sequence '#{nxt}'", *loc)
+    if first.isdigit() or (first in "+-" and len(lexeme) > 1
+                           and lexeme[1].isdigit()):
+        if _INT_RE.match(lexeme):
+            value = int(lexeme)
+            if not INT64_MIN <= value <= INT64_MAX:
+                raise LexError(
+                    f"integer literal out of 64-bit range: {lexeme}", *loc)
+            return value
+        if _REAL_RE.match(lexeme):
+            return float(lexeme)
+        raise LexError(f"malformed number '{lexeme}'", *loc)
+    return intern(lexeme)
 
 
 class EntryReader:
     """Reads one entry of an interactive session a line at a time.
 
-    Each line is lexed once, numbered by its place in the entry, and its
-    tokens go to one `Parser`.  A line that ends inside a string literal is
-    kept and lexed again together with the next line.  The entry is complete
-    at the end of a line that leaves the parser idle.  Line by line, the
-    outcome is that of `read_all` on the entry's text so far: the same
-    datums and locations once complete, the same error when more input
-    could not mend it, and no result while it could.
+    Each line is read once, numbered by its place in the entry, and carries
+    on from where the line before it stopped, even inside a string literal.
+    The entry is complete at the end of a line that leaves nothing open.
+    Line by line, the outcome is that of `read_all` on the entry's text so
+    far: the same datums and locations once complete, the same error as
+    soon as more input could not mend it, and no result while it could.
     """
 
-    __slots__ = ("lines", "unlexed", "parser", "datums")
+    __slots__ = ("lines", "datums", "stack", "frame", "end")
 
     def __init__(self):
         self._start()
 
     def _start(self):
         self.lines = []      # the entry's text, one str per line
-        self.unlexed = 0     # index in `lines` of the first line not lexed
-        self.parser = Parser()
         self.datums = []     # datums read, held until the entry is complete
+        self.stack = []      # the frames around the innermost, outermost first
+        self.frame = _IDLE   # the innermost open construct
+        self.end = None      # (line, col) just past the text read
 
     def feed_line(self, line):
         """Add `line`; returns the entry's datums once it is complete and
-        None while it is not.  A LexError or ParseError that more input
-        could not mend is raised, and the entry starts over."""
-        lines = self.lines
-        lines.append(line)
-        start = self.unlexed
+        None while it is not.  A LexError or ParseError is raised as soon as
+        more input could not mend it, and the entry starts over."""
+        self.lines.append(line)
         try:
-            tokens = tokenize("".join(lines[start:]), start + 1)
-            self.unlexed = len(lines)
-            datums, _ = self.parser.feed(tokens)
-        except (LexError, ParseError) as err:
-            if err.unexpected_eof:
-                # a string literal runs on past this line
-                return None
+            self.datums += self._read(line, len(self.lines))
+        except (LexError, ParseError):
             self._start()
             raise
-        self.datums += datums
-        if not self.parser.idle:
+        if self.frame[0] is not _TOP:
             return None
         datums = self.datums
         self._start()
         return datums
+
+    def eof_error(self):
+        """The error for input that ends inside the entry."""
+        state, loc, opener = self.frame[:3]
+        if state is _STRING_OPEN:
+            return LexError("unterminated string literal", *loc,
+                            unexpected_eof=True)
+        if state is _ITEMS or state is _TAIL or state is _VECTOR:
+            return ParseError(f"unclosed '{opener}'", *loc,
+                              unexpected_eof=True)
+        return ParseError("unexpected end of input", *self.end,
+                          unexpected_eof=True)
+
+    def _read(self, text, line):
+        """Read `text`, whose first line is numbered `line`, on from the
+        current frame; returns the datums it completes."""
+        stack = self.stack
+        state, oloc, opener, anchor, last, closer = self.frame
+        base = -1            # the column of text[i] is i - base
+        end = len(text)
+        out = []
+        if state is not _STRING_OPEN:
+            matches = _SCAN.finditer(text)
+        else:
+            j, line, base, last = _scan_string(text, 0, line, base, anchor,
+                                               last)
+            if j < 0:
+                matches = ()
+            else:
+                value = "".join(anchor)
+                loc = oloc
+                state, oloc, opener, anchor, last, closer = stack.pop()
+                matches = chain((_StringEnd,), _SCAN.finditer(text, j))
+        for m in matches:
+            kind = m.lastindex
+            if kind == _SYMBOL:
+                value = intern(m[kind])
+                loc = (line, m.start() - base)
+            elif kind == _LIST_OPEN:
+                if state is _TAIL:
+                    raise _tail_error(line, m.start() - base)
+                stack.append((state, oloc, opener, anchor, last, closer))
+                opener = m[kind]
+                state = _ITEMS
+                oloc = (line, m.start() - base)
+                anchor = last = Pair(None, NIL)
+                closer = ")" if opener == "(" else "]"
+                continue
+            elif kind == _CLOSE:
+                ch = m[kind]
+                if state is _ITEMS or state is _TAIL:
+                    if ch != closer:
+                        if state is _TAIL:
+                            raise _tail_error(line, m.start() - base)
+                        raise ParseError(
+                            f"mismatched delimiter: '{opener}' closed by "
+                            f"'{ch}'", line, m.start() - base)
+                    value = anchor.cdr
+                    if value is not NIL:
+                        # The head pair carries the open delimiter's position.
+                        value.loc = oloc
+                elif state is _VECTOR and ch == ")":
+                    value = last
+                elif state is _VECTOR:
+                    raise ParseError("unexpected ']' in vector",
+                                     line, m.start() - base)
+                else:
+                    raise ParseError(f"unexpected '{ch}'",
+                                     line, m.start() - base)
+                loc = oloc
+                state, oloc, opener, anchor, last, closer = stack.pop()
+            elif kind == _INTEGER:
+                value = int(m[kind])
+                loc = (line, m.start() - base)
+            elif kind == _NEWLINE:
+                line += 1
+                base = m.start()
+                continue
+            elif kind == _STRING:
+                value = m[kind]
+                start = m.start()
+                loc = (line, start - base)
+                if "\\" in value:
+                    parts = []
+                    _, line, base, _ = _scan_string(text, start + 1, line,
+                                                    base, parts, None)
+                    value = "".join(parts)
+                elif "\n" in value:
+                    line += value.count("\n")
+                    base = start + 1 + value.rfind("\n")
+            elif kind == _QUOTE_PREFIX:
+                if state is _TAIL:
+                    raise _tail_error(line, m.start() - base)
+                stack.append((state, oloc, opener, anchor, last, closer))
+                state = _QUOTE
+                oloc = (line, m.start() - base)
+                anchor = _QUOTE_NAMES[m[kind]]
+                continue
+            elif kind == _DOT:
+                col = m.start() - base
+                if state is _ITEMS:
+                    if last is anchor:
+                        raise ParseError("'.' at start of list", line, col)
+                    state = _AFTER_DOT
+                    continue
+                if state is _VECTOR:
+                    raise ParseError("unexpected '.' in vector", line, col)
+                if state is _TAIL:
+                    raise _tail_error(line, col)
+                raise ParseError("'.' is not the start of a datum", line, col)
+            elif kind == _BOOLEAN:
+                value = m[kind] == "#t"
+                loc = (line, m.start() - base)
+            elif kind == _VECTOR_OPEN:
+                if state is _TAIL:
+                    raise _tail_error(line, m.start() - base)
+                stack.append((state, oloc, opener, anchor, last, closer))
+                state = _VECTOR
+                oloc = (line, m.start() - base)
+                opener = "#("
+                last = []
+                continue
+            elif kind == _COMMENT:
+                if m.end() == end:
+                    # input ending in a comment ends at its ';'
+                    end = m.start()
+                continue
+            elif kind == _OTHER_ATOM:
+                start = m.start()
+                loc = (line, start - base)
+                value = _atom(m[kind], text, start, loc)
+            elif kind == _OPEN_STRING:
+                # The literal runs past the end of `text`: it becomes the
+                # innermost frame, and nothing in `text` follows it.
+                start = m.start()
+                stack.append((state, oloc, opener, anchor, last, closer))
+                state = _STRING_OPEN
+                oloc = (line, start - base)
+                anchor = []
+                _, line, base, last = _scan_string(text, start + 1, line,
+                                                   base, anchor, None)
+                break
+            elif kind == _BLANKS:
+                continue
+            # else: _StringEnd, with `value` and `loc` set above
+            #
+            # `value` is complete and starts at `loc`: hand it to the
+            # innermost open construct, closing every quote it completes.
+            while True:
+                if state is _ITEMS:
+                    pair = SourcePair(value, NIL, loc)
+                    last.cdr = pair
+                    last = pair
+                    break
+                if state is _TOP:
+                    out.append(SourceDatum(value, *loc))
+                    break
+                if state is _QUOTE:
+                    value = SourcePair(anchor, SourcePair(value, NIL, loc),
+                                       oloc)
+                    loc = oloc
+                    state, oloc, opener, anchor, last, closer = stack.pop()
+                    continue
+                if state is _VECTOR:
+                    last.append(value)
+                    break
+                if state is _AFTER_DOT:
+                    last.cdr = value
+                    state = _TAIL
+                    break
+                raise _tail_error(*loc)
+        self.frame = (state, oloc, opener, anchor, last, closer)
+        self.end = (line, end - base)
+        return out
+
+
+def read_all(text):
+    """Parse every datum in `text`; empty input yields an empty list."""
+    reader = EntryReader()
+    datums = reader.feed_line(text)
+    if datums is None:
+        raise reader.eof_error()
+    return datums

@@ -219,3 +219,35 @@ def test_repl_survives_ctrl_c_and_keeps_the_fail_chain():
     assert "Interrupted: evaluation stopped" in stderr.getvalue()
     assert stderr.getvalue().endswith("==> ==> ==> ")
     assert machine.trace.spine is None and machine.pc is None
+
+
+class InterruptedStdin:
+    """stdin whose readline gives each item in turn, raising KeyboardInterrupt
+    where the item is None, then EOF."""
+
+    def __init__(self, items):
+        self.items = list(items)
+
+    def readline(self):
+        if not self.items:
+            return ""
+        item = self.items.pop(0)
+        if item is None:
+            raise KeyboardInterrupt
+        return item
+
+
+def test_repl_ctrl_c_at_the_prompt_drops_the_entry_and_goes_on():
+    stdout, stderr = io.StringIO(), io.StringIO()
+    machine = Machine(stdout=stdout)
+    stdin = InterruptedStdin(
+        ["(choose 1 2 3)\n", "(+ 1\n", None, "(choose)\n", "(+ 1 2)\n"])
+    assert repl_loop(machine, stdin, stdout, stderr) == 0
+    assert stdout.getvalue() == "1\n2\n3\n"
+    assert stderr.getvalue() == "==> ==> ... KeyboardInterrupt\n==> ==> ==> "
+
+
+def test_repl_reports_an_entry_left_open_at_end_of_input():
+    code, out, err = run_repl('(+ 1\n  "a')
+    assert code == 0 and out == ""
+    assert err == "==> ... ... LexError: unterminated string literal\n"

@@ -2,14 +2,10 @@ import pytest
 
 from helpers import run_on_small_stack
 
-from ambit import NIL, equal, intern, read_all, tokenize
+from ambit import NIL, equal, intern, read_all
 from ambit.errors import LexError, ParseError
-from ambit.reader import EntryReader, Parser, read_datum
-from ambit.values import Pair
-
-
-def kinds(text):
-    return [t.kind for t in tokenize(text)]
+from ambit.reader import EntryReader
+from ambit.values import Pair, to_pylist
 
 
 def first_value(text):
@@ -18,38 +14,62 @@ def first_value(text):
     return datums[0].value
 
 
+def shape(value):
+    """A proper list as the list of its elements' shapes, a vector as a
+    tuple of them, and any other datum as the name of its type."""
+    if isinstance(value, Pair):
+        return [shape(item) for item in to_pylist(value)]
+    if type(value) is list:
+        return tuple(shape(item) for item in value)
+    return type(value).__name__
+
+
+def read_error(text):
+    """The LexError or ParseError that `read_all(text)` raises."""
+    with pytest.raises((LexError, ParseError)) as excinfo:
+        read_all(text)
+    return excinfo.value
+
+
 def test_tokenize_simple_application():
-    assert kinds("(+ 1 2)") == [
-        "lparen", "symbol", "integer", "integer", "rparen", "eof"]
+    assert shape(first_value("(+ 1 2)")) == ["Symbol", "int", "int"]
 
 
 def test_tokenize_quote_shorthand():
-    assert kinds("'x") == ["quote", "symbol", "eof"]
+    value = first_value("'x")
+    assert shape(value) == ["Symbol", "Symbol"]
+    assert value.car is intern("quote")
 
 
 def test_tokenize_bracket_binding_form():
-    assert kinds("(let ([x 1]) x)") == [
-        "lparen", "symbol", "lparen", "lbracket", "symbol", "integer",
-        "rbracket", "rparen", "symbol", "rparen", "eof"]
+    assert shape(first_value("(let ([x 1]) x)")) == [
+        "Symbol", [["Symbol", "int"]], "Symbol"]
 
 
 def test_token_positions_point_at_first_character():
-    tokens = tokenize("(ab\n  cd)")
-    assert (tokens[0].line, tokens[0].col) == (1, 1)
-    assert (tokens[1].line, tokens[1].col) == (1, 2)
-    assert (tokens[2].line, tokens[2].col) == (2, 3)
-    assert (tokens[3].line, tokens[3].col) == (2, 5)
+    value = first_value("(ab\n  cd)")
+    assert value.loc == (1, 1)
+    assert value.cdr.loc == (2, 3)
+    assert [(d.line, d.col) for d in read_all("ab\n  cd")] == [
+        (1, 1), (2, 3)]
+    err = read_error("(ab\n  cd]")
+    assert (err.message, err.line, err.col) == (
+        "mismatched delimiter: '(' closed by ']'", 2, 5)
 
 
 def test_token_positions_nondecreasing():
-    tokens = tokenize('(a "x\ny" [b . c] 1.5 #t)')
-    positions = [(t.line, t.col) for t in tokens]
-    assert positions == sorted(positions)
+    value = first_value('(z a "x\ny" [b . c] 1.5 #t)')
+    locs = []
+    while value is not NIL:
+        locs.append(value.loc)
+        value = value.cdr
+    assert locs == [(1, 1), (1, 4), (1, 6), (2, 4), (2, 12), (2, 16)]
 
 
 def test_comments_and_whitespace_skipped():
-    assert kinds("; nothing\n  1 ; trailing\n2") == [
-        "integer", "integer", "eof"]
+    datums = read_all("; nothing\n  1 ; trailing\n2")
+    assert [(d.value, d.line, d.col) for d in datums] == [
+        (1, 2, 3), (2, 3, 1)]
 
 
 def test_string_escapes():
@@ -57,21 +77,25 @@ def test_string_escapes():
 
 
 def test_unterminated_string_is_lex_error_with_location():
-    with pytest.raises(LexError) as excinfo:
-        tokenize('(foo "bar')
-    assert excinfo.value.line == 1
-    assert excinfo.value.col == 6
-    assert excinfo.value.unexpected_eof
+    err = read_error('(foo "bar')
+    assert type(err) is LexError
+    assert (err.message, err.line, err.col) == (
+        "unterminated string literal", 1, 6)
+    assert err.unexpected_eof
 
 
 def test_unknown_escape_is_lex_error():
-    with pytest.raises(LexError):
-        tokenize(r'"\q"')
+    err = read_error(r'"\q"')
+    assert type(err) is LexError
+    assert (err.message, err.line, err.col) == (
+        "unknown string escape '\\q'", 1, 2)
 
 
 def test_illegal_hash_sequence_is_lex_error():
-    with pytest.raises(LexError):
-        tokenize("#x")
+    err = read_error("#x")
+    assert type(err) is LexError
+    assert (err.message, err.line, err.col) == (
+        "illegal character sequence '#x'", 1, 1)
 
 
 def test_number_classification():
@@ -89,15 +113,19 @@ def test_plus_minus_alone_are_symbols():
 
 
 def test_malformed_number_is_lex_error():
-    with pytest.raises(LexError):
-        tokenize("1abc")
+    err = read_error("1abc")
+    assert type(err) is LexError
+    assert (err.message, err.line, err.col) == (
+        "malformed number '1abc'", 1, 1)
 
 
 def test_int64_range_enforced():
     assert first_value(str(2 ** 63 - 1)) == 2 ** 63 - 1
     assert first_value(str(-(2 ** 63))) == -(2 ** 63)
-    with pytest.raises(LexError):
-        tokenize(str(2 ** 63))
+    err = read_error(str(2 ** 63))
+    assert type(err) is LexError
+    assert (err.message, err.line, err.col) == (
+        f"integer literal out of 64-bit range: {2 ** 63}", 1, 1)
 
 
 def test_dotted_pair():
@@ -136,12 +164,10 @@ def test_read_all_multiple_datums():
 
 
 def test_read_datum_advances_cursor():
-    tokens = tokenize("1 (2 3)")
-    datum, pos = read_datum(tokens, 0)
-    assert datum.value == 1
-    datum, pos = read_datum(tokens, pos)
-    assert datum.value.car == 2
-    assert tokens[pos].kind == "eof"
+    first, second = read_all("1 (2 3)")
+    assert (first.value, first.line, first.col) == (1, 1, 1)
+    assert shape(second.value) == ["int", "int"]
+    assert (second.line, second.col) == (1, 3)
 
 
 def test_datum_location_is_first_token():
@@ -171,6 +197,26 @@ def test_stray_close_and_dot_rejected():
         read_all("(a . b c)")
 
 
+def test_parse_errors_name_the_lexeme_they_stop_at():
+    tail = "expected a single datum after '.'"
+    cases = {
+        "(a . b ')": (tail, 1, 8),
+        "(a . b #(1))": (tail, 1, 8),
+        "(a . b (c))": (tail, 1, 8),
+        '(a . b "s")': (tail, 1, 8),
+        "(a . b . c)": (tail, 1, 8),
+        "(a . b]": (tail, 1, 7),
+        "(a . )": ("unexpected ')'", 1, 6),
+        "#(1 . 2)": ("unexpected '.' in vector", 1, 5),
+        "#(1]": ("unexpected ']' in vector", 1, 4),
+        "'.": ("'.' is not the start of a datum", 1, 2),
+    }
+    for text, expected in cases.items():
+        err = read_error(text)
+        assert type(err) is ParseError, text
+        assert (err.message, err.line, err.col) == expected, text
+
+
 def test_color_europe_program_parses():
     from helpers import COLOR_EUROPE_PROGRAM
 
@@ -181,20 +227,30 @@ def test_color_europe_program_parses():
 
 
 def test_tokenize_numbers_lines_from_the_given_start():
-    tokens = tokenize("a\n  b", 7)
-    assert [(t.line, t.col) for t in tokens] == [(7, 1), (8, 3), (8, 4)]
+    head = ["(x\n"] + ["\n"] * 5
+    entry = EntryReader()
+    for line in head + ["a\n"]:
+        assert entry.feed_line(line) is None
+    value = entry.feed_line("  b)\n")[0].value
+    assert (value.cdr.loc, value.cdr.cdr.loc) == ((7, 1), (8, 3))
+    for line in head + ["a\n"]:
+        assert entry.feed_line(line) is None
+    assert entry.feed_line("  b .") is None
+    err = entry.eof_error()
+    assert (err.message, err.line, err.col) == (
+        "unexpected end of input", 8, 6)
 
 
 def test_parser_fed_one_token_at_a_time_matches_one_read():
-    text = "(a [b . c]\n #(1 2) 'd) `(e ,f) \"s\""
+    # a lexeme a line, and no line but the last ends the entry
+    text = "\n".join(("(", "a", "[", "b", ".", "c", "]", "#(", "1", "2", ")",
+                      "'", "d", ") `", "(", "e", ",", "f", ') "s', 't"'))
     whole = read_all(text)
-    *tokens, eof = tokenize(text)
-    parser = Parser()
+    entry = EntryReader()
     got = []
-    for tok in tokens:
-        datums, _ = parser.feed([tok, eof])
-        got.extend(datums)
-    assert parser.idle
+    for line in text.splitlines(keepends=True):
+        got.extend(entry.feed_line(line) or ())
+    assert entry.lines == []
     assert [(d.line, d.col) for d in got] == [(d.line, d.col) for d in whole]
     assert all(equal(a.value, b.value) for a, b in zip(got, whole))
     assert len(got) == len(whole) == 3
@@ -264,6 +320,24 @@ def test_entry_reader_reports_an_error_on_its_line_and_starts_over():
     assert (excinfo.value.line, excinfo.value.col) == (2, 9)
     assert entry.lines == []
     assert entry.feed_line("(+ 1 2)\n")[0].value.car is intern("+")
+
+
+def test_the_first_error_in_text_order_is_raised():
+    err = read_error(") #x")
+    assert (type(err), err.message, err.line, err.col) == (
+        ParseError, "unexpected ')'", 1, 1)
+    with pytest.raises(ParseError) as excinfo:
+        EntryReader().feed_line(') "open\n')
+    assert (excinfo.value.line, excinfo.value.col) == (1, 1)
+
+
+def test_a_backslash_ending_the_input_leaves_its_string_open():
+    err = read_error('(f "a\\')
+    assert (type(err), err.message, err.line, err.col) == (
+        LexError, "unterminated string literal", 1, 4)
+    entry = EntryReader()
+    assert entry.feed_line('"a\\') is None
+    assert entry.feed_line('n"\n')[0].value == "a\n"
 
 
 def test_pair_locations():

@@ -1,10 +1,13 @@
-"""Property tests for the reader: line-at-a-time reading and read∘write."""
+"""Property tests for the reader: line-at-a-time reading, agreement with
+the two-pass reader it replaced, and read∘write."""
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_reader
 from helpers import _STRING_CHARS, _SYMBOL_FIRST, _SYMBOL_REST
 
 from ambit import NIL, equal, intern, read_all, write_value
@@ -18,8 +21,10 @@ from ambit.values import INT64_MAX, INT64_MIN, Pair, SourcePair
 # Well-formed pieces, pieces that make errors, and strings that span lines.
 _PIECES = ("(", ")", "[", "]", "#(", "'", "`", ",", ",@", ".", "a", "foo?",
            "12", "-3", "1.5e2", "#t", "#f", '"s"', '"two\nlines"',
-           '"a (\n;b"', '"\\q"', "#x", "1abc", '"open')
-_SEPARATORS = (" ", " ", "\n", "  ", "\n  ", " ; note\n", "\n\n")
+           '"a (\n;b"', '"\\q"', "#x", "1abc", '"open',
+           '"x (\n; \\"y\\\\"', "#(#(1 'a) [b . #()])",
+           "'(a . '(b . `#(,c)))", "(x . y", "#(1")
+_SEPARATORS = (" ", " ", "\n", "  ", "\n  ", " ; note\n", "\n\n", " ;")
 
 
 @st.composite
@@ -81,6 +86,30 @@ def test_lines_fed_one_at_a_time_read_like_the_whole_entry(text):
         if expected[0] != "more":
             pending = ""
     assert "".join(entry.lines) == pending
+
+
+def error_fields(err):
+    return (type(err), err.message, err.line, err.col, err.unexpected_eof)
+
+
+@settings(max_examples=400, deadline=None)
+@given(datum_texts())
+def test_read_all_agrees_with_the_reference_reader(text):
+    try:
+        expected = summary(reference_reader.read_all(text))
+    except (LexError, ParseError) as err:
+        expected = err
+    if not isinstance(expected, Exception):
+        assert summary(read_all(text)) == expected
+        return
+    with pytest.raises((LexError, ParseError)) as excinfo:
+        read_all(text)
+    if type(excinfo.value) is ParseError:
+        try:
+            reference_reader.tokenize(text)
+        except LexError:
+            return  # the parse error comes first in the text
+    assert error_fields(excinfo.value) == error_fields(expected)
 
 
 # --- read∘write round trips ------------------------------------------------
