@@ -34,7 +34,8 @@ whose operator is a global holding an ordinary primitive of fitting arity
 gets it in `AppExpr.prim`: with a pure primitive and operands all computed
 inline it is computed inline too (`PrimApp1`, `PrimApp2`, `PrimAppN`, by
 operand count), else it is a `PrimCall`.  An inline `(require e)` before
-the last form of a body is a `RequireStmt`, whose value is dropped.
+the last form of a body is a `RequireStmt`, whose value is dropped.  The
+machine compiles such inline trees later, in a lambda it has entered often.
 """
 
 from . import syntax
@@ -104,15 +105,17 @@ class SetExpr:
 
 class LambdaExpr:
     """`defines` counts the slots its body's `define`s add after the
-    parameters."""
+    parameters; `entries` counts the machine's entries into its closures,
+    and is None once the machine has compiled its body's inline trees."""
 
-    __slots__ = ("params", "rest", "body", "defines")
+    __slots__ = ("params", "rest", "body", "defines", "entries")
 
     def __init__(self, params, rest, body, defines):
         self.params = params
         self.rest = rest
         self.body = body
         self.defines = defines
+        self.entries = 0
 
 
 class BeginExpr:

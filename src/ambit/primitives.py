@@ -28,13 +28,19 @@ _IMPURE = frozenset({
     "display", "write", "newline", "print", "vector-set!", "use-stack-trace",
 })
 
+# What the machine's compiled trees compute in place of a call, by name: the
+# operands' Python expressions in, an expression (which may name `Pair` and
+# `NIL`) out.
+_INLINE = {}
+
 
 def install_primitives(table):
     """Bind every built-in procedure in the (fresh) global table."""
     for name, fn, min_args, max_args, control in _PRIMITIVE_SPECS:
         table[intern(name)] = Primitive(
             name, fn, min_args, max_args, control=control,
-            pure=not control and name not in _IMPURE)
+            pure=not control and name not in _IMPURE,
+            inline=_INLINE.get(name))
 
 
 def _type_error(who, expected, value):
@@ -99,6 +105,10 @@ def _prim_list(m, args):
     return list_from(args)
 
 
+_INLINE["list"] = lambda xs: (
+    "".join(f"Pair({x}, " for x in xs) + "NIL" + ")" * len(xs))
+
+
 def _prim_append(m, args):
     if not args:
         return NIL
@@ -156,6 +166,9 @@ def _assoc_with(pred, who):
 
 def _prim_null_p(m, args):
     return args[0] is NIL
+
+
+_INLINE["null?"] = lambda xs: f"{xs[0]} is NIL"
 
 
 def _prim_pair_p(m, args):
@@ -348,6 +361,9 @@ def _prim_modulo(m, args):
 
 def _prim_not(m, args):
     return args[0] is False
+
+
+_INLINE["not"] = lambda xs: f"{xs[0]} is False"
 
 
 def _prim_eq_p(m, args):

@@ -1,22 +1,28 @@
-"""The class-specialised nodes against the stepped path they short-cut.
+"""The class-specialised nodes and the compiled trees against the stepped
+path they short-cut.
 
 Every fast path (inline references and primitive applications, `PrimCall`,
-the statement `require`) is guarded by a check that the operator's global
-still holds the primitive `parse_core` saw.  A machine whose primitives are
-all rebound to wrapper closures before the program is parsed takes the
-stepped path everywhere, so it is an oracle for the fast paths.
+the statement `require`, a lambda's inline trees compiled once it is hot)
+is guarded by a check that the operator's global still holds the primitive
+`parse_core` saw.  A machine whose primitives are all rebound to wrapper
+closures before the program is parsed takes the stepped path everywhere,
+so it is an oracle for the fast paths.  A machine whose lambdas count as
+hot from their first entry runs the compiled trees wherever it can.
 """
 
 import io
 import re
+import time
+from contextlib import contextmanager
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambit import Machine, intern, write_value
-from ambit.errors import SchemeError
+import ambit.machine
+from ambit import Machine, SchemeError, intern, read_all, write_value
 from ambit.forms import RequireStmt
-from ambit.values import VOID, Primitive
+from ambit.values import NIL, VOID, Pair, Primitive, equal, list_from
 
 
 def ev(machine, text):
@@ -109,10 +115,25 @@ def programs(draw):
     return forms
 
 
-def run_program(forms, wrapped):
+@contextmanager
+def hot_after(entries):
+    """Compile a lambda's inline trees on its `entries`-th closure entry."""
+    saved = ambit.machine._HOT_ENTRIES
+    ambit.machine._HOT_ENTRIES = entries
+    try:
+        yield
+    finally:
+        ambit.machine._HOT_ENTRIES = saved
+
+
+def run_program(forms, wrapped, hot=False):
     """(solutions, printed output, error label or None) of exhausting the
     last form; with `wrapped`, every primitive the program names is first
-    rebound to a closure that applies it."""
+    rebound to a closure that applies it; with `hot`, every lambda's inline
+    trees are compiled on its first entry."""
+    if hot:
+        with hot_after(1):
+            return run_program(forms, wrapped)
     machine = Machine(stdout=io.StringIO())
     if wrapped:
         for token in sorted(set(re.findall(r"[^\s()']+", " ".join(forms)))):
@@ -139,7 +160,9 @@ def run_program(forms, wrapped):
 @example(["(+ (choose 1 2) (car (list 3 (require (= (choose 1 2) 2)))))"])
 @example(["(let* ((a (choose 0 2))) (display a) (quotient 6 a))"])
 def test_fast_paths_match_the_stepped_path(forms):
-    assert run_program(forms, False) == run_program(forms, True)
+    inline = run_program(forms, False)
+    assert inline == run_program(forms, True)
+    assert inline == run_program(forms, False, hot=True)
 
 
 # --- pinned cases ------------------------------------------------------------
@@ -186,3 +209,193 @@ def test_statement_require_resumes_with_the_choice_points_spine(machine):
     assert ev(machine, "(f 0)") == 2
     assert len(seen) == 2 and seen[0] is not None
     assert seen[1] is seen[0]
+
+
+def test_a_wide_inline_application_takes_linear_time(machine):
+    # the operands' values are gathered in one list, so eight times the
+    # operands take about eight times as long; the two widths are timed in
+    # turn, so a change in the host's speed reaches both
+    ev(machine, "(define x 1)")
+    forms = {width: read_all(f"(length (list{' x' * width}))")[0]
+             for width in (1000, 8000)}
+    best = {}
+    for _ in range(5):
+        for width in (1000, 8000):
+            start = time.perf_counter()
+            assert machine.eval_top(forms[width]) == width
+            took = time.perf_counter() - start
+            best[width] = min(best.get(width, took), took)
+    assert best[8000] / best[1000] <= 10
+
+
+# --- compiled inline trees ---------------------------------------------------
+
+
+@pytest.fixture
+def hot():
+    with hot_after(1):
+        yield
+
+
+def compiled(node):
+    """Whether `node` computes its tree through compiled code."""
+    return type(node).val.__code__.co_filename == "<fused>"
+
+
+def body(machine, name):
+    return machine.globals[intern(name)].lam.body
+
+
+def exhaust(machine, text):
+    values = [ev(machine, text)]
+    while values[-1] != "no more choices":
+        values.append(ev(machine, "(choose)"))
+    return values
+
+
+def test_a_lambda_is_compiled_on_its_threshold_entry(machine):
+    ev(machine, "(define f (lambda (x) (+ x 1)))")
+    ev(machine, "(define loop (lambda (n) "
+                "(if (= n 0) 'done (begin (f n) (loop (- n 1))))))")
+    ev(machine, f"(loop {ambit.machine._HOT_ENTRIES - 1})")
+    assert not compiled(body(machine, "f")[0])
+    assert ev(machine, "(f 1)") == 2
+    assert compiled(body(machine, "f")[0])
+    assert ev(machine, "(f 2)") == 3
+
+
+@pytest.mark.parametrize("define, rebind, call, before, after", [
+    ("(define f (lambda (x) (+ x 1)))", "(define + -)", "(f 5)", 6, 4),
+    ("(define f (lambda (x) (not (null? x))))",
+     "(define not (lambda (x) x))", "(f '())", False, True),
+    ("(define f (lambda (x) (null? (cdr x))))",
+     "(define null? (lambda (x) 'no))", "(f '(1))", True, intern("no")),
+    ("(define f (lambda (x) (length (list x x))))",
+     "(define list (lambda args '(1 2 3)))", "(f 0)", 2, 3),
+    ("(define f (lambda (x) (require (< x 3)) x))",
+     "(define require (lambda (x) #t))", "(f 5)", "no more choices", 5),
+])
+def test_rebinding_an_operator_after_its_tree_is_compiled(
+        machine, hot, define, rebind, call, before, after):
+    ev(machine, define)
+    assert ev(machine, call) == before
+    assert compiled(body(machine, "f")[0])
+    ev(machine, rebind)
+    assert ev(machine, call) == after
+
+
+@pytest.mark.parametrize("program, label, frames, root", [
+    # `early`'s init reads `late`'s slot before its define has run
+    ("(define f (lambda (n) (define early (+ late 1)) (define late n) "
+     "early))", "UnboundVariable: late", ["outer", "f"],
+     lambda f: f[0].expr),
+    # the same slot one frame out, and then a global never defined
+    ("(define f (lambda (n) (define g (lambda () (* 2 (+ late 1)))) "
+     "(define early (g)) (define late n) early))", "UnboundVariable: late",
+     ["outer", "f", "g"], lambda f: f[0].expr.body[0]),
+    ("(define f (lambda (n) (+ n (- nowhere 1))))",
+     "UnboundVariable: nowhere", ["outer", "f"], lambda f: f[0]),
+])
+def test_an_unbound_read_in_a_compiled_tree_keeps_message_and_frames(
+        program, label, frames, root):
+    def error(machine):
+        ev(machine, program)
+        ev(machine, "(define outer (lambda (n) (list (f n))))")
+        with pytest.raises(SchemeError) as excinfo:
+            ev(machine, "(outer 4)")
+        return excinfo.value.error_line(), excinfo.value.frames, machine
+
+    with hot_after(10 ** 9):
+        stepped = error(Machine(stdout=io.StringIO()))
+    with hot_after(1):
+        fused = error(Machine(stdout=io.StringIO()))
+    assert fused[0] == stepped[0] == label
+    assert fused[1] == stepped[1]
+    assert [frame[0] for frame in fused[1]] == frames
+    assert compiled(root(body(fused[2], "f")))
+
+
+def test_a_nested_require_in_a_compiled_tree_backtracks(machine, hot):
+    ev(machine, "(define f (lambda (x) (car (list x (require (> x 1))))))")
+    assert exhaust(machine, "(f (choose 1 2 0 3))") == [
+        2, 3, "no more choices"]
+    assert compiled(body(machine, "f")[0])
+
+
+def test_compiled_roots_in_tail_test_and_alternative_positions(machine, hot):
+    ev(machine, "(define f (lambda (xs) "
+                "(if (null? xs) 'none (choose (car xs) (cadr xs)))))")
+    ev(machine, "(define g (lambda (x) (* x (+ x 1))))")
+    assert exhaust(machine, "(f '(1 2))") == [1, 2, "no more choices"]
+    assert ev(machine, "(f '())") is intern("none")
+    assert ev(machine, "(g 3)") == 12
+    test = body(machine, "f")[0]
+    assert compiled(test.test) and compiled(body(machine, "g")[0])
+    assert all(compiled(alt) for alt in test.alt.exprs)
+
+
+def test_a_compiled_tree_calls_the_primitive_fn_current_at_the_call(
+        machine, hot):
+    ev(machine, "(define f (lambda (x) (* x (+ x 1))))")
+    assert ev(machine, "(f 2)") == 6
+    assert compiled(body(machine, "f")[0])
+    prim = machine.globals[intern("+")]
+    plain, calls = prim.fn, []
+
+    def traced(m, args):
+        calls.append(args)
+        return plain(m, args)
+
+    prim.fn = traced
+    assert ev(machine, "(f 3)") == 12
+    assert calls == [(3, 1)]
+
+
+# --- the inline expressions of `not`, `null?` and `list` ---------------------
+
+
+def _datum_text(leaves):
+    return st.recursive(leaves, lambda items: st.lists(items, max_size=4).map(
+        lambda xs: "(" + " ".join(xs) + ")"), max_leaves=12)
+
+
+_LEAF_TEXT = st.one_of(
+    st.sampled_from(["#f", "#t", "0", "1", "()", "sym"]),
+    st.text("ab;)\\", max_size=4).map(
+        lambda s: '"' + s.replace("\\", "\\\\") + '"'))
+
+
+def _plain(value):
+    """`value` with every reader-built `SourcePair` copied to a `Pair`."""
+    if not isinstance(value, Pair):
+        return value
+    items = []
+    while isinstance(value, Pair):
+        items.append(_plain(value.car))
+        value = value.cdr
+    return list_from(items, value)
+
+
+_VALUES = _datum_text(_LEAF_TEXT).flatmap(lambda text: st.sampled_from(
+    [read_all(text)[0].value, _plain(read_all(text)[0].value)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["not", "null?", "list"]),
+       st.lists(_VALUES, min_size=1, max_size=5))
+def test_inline_expressions_agree_with_their_primitives(name, values):
+    prim = Machine(stdout=io.StringIO()).globals[intern(name)]
+    if name != "list":
+        values = values[:1]
+    names = [f"v{i}" for i in range(len(values))]
+    got = eval(prim.inline(names), {"Pair": Pair, "NIL": NIL,
+                                     **dict(zip(names, values))})
+    want = prim.fn(None, tuple(values))
+    if name != "list":
+        assert got is want
+        return
+    assert equal(got, want) and type(got) is Pair
+    for value in values:
+        assert got.car is value
+        got = got.cdr
+    assert got is NIL
