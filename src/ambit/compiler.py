@@ -1,0 +1,226 @@
+"""The compiler of hot lambdas: a body to one registerised Python function.
+
+Once a lambda's closures have been entered `machine._HOT_ENTRIES` times,
+`fuse` compiles its whole body to one Python `run`, the code the machine's
+handlers would step through for it, written out: it computes inline values,
+writing `not`, `null?` and `list` as Python expressions
+(`Primitive.inline`), assigns registers, makes the continuations the
+stepped path makes, and returns to the trampoline as soon as it starts a
+subform that needs the machine, so host depth stays constant.  It checks
+every operator's global first and runs the stepped path if one has been
+rebound.  The check holds only up to the first stepped subform, which may
+run user code that rebinds one, so all after it is left to the stepped
+path, and each inline tree there is compiled to one function that becomes
+its root's `val`.
+"""
+
+# the compiled code reads this module's names, some imported only for it
+from .errors import EvalError
+from .forms import (
+    _INLINE, AndExpr, AppExpr, BeginExpr, CallccExpr, ChooseExpr, DefineExpr,
+    IfExpr, LambdaExpr, Literal, LocalRef0, OrExpr, PrimAppN, PrimCall,
+    QuoteExpr, RequireStmt, SetExpr, VarRef,
+)
+from .machine import (
+    _FAIL, _NO_ALT, _STEP, _app_run, _run_body, apply_cont, apply_proc,
+    cont_begin, cont_operand, invoke_fail,
+)
+from .values import NIL, UNASSIGNED, Closure, Pair
+
+# how deep compiled code nests (Python's parser allows 100 levels of
+# indentation) and its generator recurses; a subform past that runs through
+# its own `run`
+_NEST = 40
+
+# the subforms `fuse` looks through for inline trees, by node class
+_SUBFORMS = {IfExpr: ("test", "then", "alt"), DefineExpr: ("expr",),
+             SetExpr: ("expr",), CallccExpr: ("expr",), BeginExpr: ("body",),
+             AndExpr: ("exprs",), OrExpr: ("exprs",), ChooseExpr: ("exprs",),
+             AppExpr: ("op", "args"), PrimCall: ("op", "args")}
+
+
+def fuse(lam):
+    """Compile `lam`'s body to the `run` of a `BeginExpr` that becomes the
+    whole body, and each inline tree it leaves to the stepped path (outside
+    the lambdas in it) to its root's `val`, all in one go; a root that is
+    not a `RequireStmt` also gets a `run` that delivers it."""
+    lam.entries = None
+    code = _Code(dict(globals()), lam)
+    code.run(BeginExpr(lam.body), "k", "    ", 0)
+    # a body that is one form left to its own `run` gains nothing
+    whole = len(code.lines) > 1 or not code.left
+    sources = [code.function("body(node, m, env, k)",
+                             "_run_body(m, node.body, 0, env, k)")
+               ] if whole else []
+    roots, todo = [], code.left
+    while todo:
+        node = todo.pop()
+        if isinstance(node, PrimAppN):
+            roots.append(node)
+            continue
+        for name in _SUBFORMS.get(type(node), ()):
+            sub = getattr(node, name)
+            if type(sub) is tuple:
+                todo += sub
+            elif sub is not None:
+                todo.append(sub)
+    for i, root in enumerate(roots):
+        code.lines, code.guards = [], {}
+        code.lines.append(f"    return {code.value(root, '    ')}")
+        sources.append(code.function(f"tree{i}(app, m, env)", "_STEP"))
+    exec(compile("".join(sources + code.rets), "<fused>", "exec"), code.ns)
+    for i, root in enumerate(roots):
+        cls = type(root)
+        run = {} if cls is RequireStmt else {"run": _fused_run}
+        root.__class__ = type(cls.__name__, (cls,), {
+            "__slots__": (), "val": code.ns[f"tree{i}"], **run})
+    if whole:
+        lam.body = (type("BeginExpr", (BeginExpr,), {
+            "__slots__": (), "run": code.ns["body"]})(lam.body),)
+
+
+class _Code:
+    """What `fuse` compiles: the lines and operator guards of a function,
+    the handlers of continuations made there, and the subforms left to the
+    stepped path.  The code reads this module's names, and each datum it is
+    handed under a made-up name in `ns`."""
+
+    def __init__(self, ns, lam):
+        self.ns, self.lines, self.guards, self.rets, self.left = (
+            ns, [], {}, [], [])
+        self.params = len(lam.params) + (lam.rest is not None)
+
+    def name(self, value):
+        self.ns[f"k{len(self.ns)}"] = value
+        return f"k{len(self.ns) - 1}"
+
+    def function(self, head, fallback):
+        checks = " or ".join(f"get({self.name(s)}) is not {self.name(p)}"
+                             for s, p in self.guards) or "False"
+        return "".join([f"def {head}:\n    get = m.globals.get\n"
+                        f"    if {checks}:\n        return {fallback}\n",
+                        *(line + "\n" for line in self.lines)])
+
+    def value(self, root, pad):
+        """Compute inline `root`, one temporary per node in the stepped
+        path's order; gives the name or expression of its value."""
+        code, results, todo = self.lines, [], [(root, False)]
+        while todo:
+            node, ready = todo.pop()
+            temp = f"t{len(code)}"
+            if isinstance(node, PrimAppN) and not ready:
+                self.guards[node.op.name, node.prim] = None
+                todo.append((node, True))
+                todo += [(a, False) for a in reversed(node.args)]
+                continue
+            if type(node) is LambdaExpr:
+                temp = f"Closure({self.name(node)}, env)"
+            elif isinstance(node, (Literal, QuoteExpr)):
+                temp = self.name(node.val(None, None))
+            elif type(node) is LocalRef0 and node.index <= self.params:
+                temp = f"env[{node.index}]"  # a parameter is never unassigned
+            elif isinstance(node, VarRef):
+                read = (f"get({self.name(node.name)}, UNASSIGNED)"
+                        if node.index is None
+                        else f"env{'[0]' * node.depth}[{node.index}]")
+                code += [f"{pad}{temp} = {read}", f"{pad}if {temp} is "
+                         "UNASSIGNED: raise EvalError('UnboundVariable', "
+                         f"{self.name(node.name.name)})"]
+            else:
+                xs = results[len(results) - len(node.args):]
+                del results[len(results) - len(node.args):]
+                if type(node) is RequireStmt:
+                    value = f"_FAIL if {xs[0]} is False else {xs[0]}"
+                elif node.prim.inline and len(xs) <= 64:
+                    # a longer chain of nested calls could strain the compiler
+                    value = node.prim.inline(xs)
+                else:
+                    value = f"{self.name(node.prim)}.fn(m, ({_items(xs)}))"
+                code.append(f"{pad}{temp} = {value}")
+            results.append(temp)
+        return results[0]
+
+    def run(self, node, k, pad, depth):
+        """Run `node` toward `k` as its `run` would; the first subform that
+        needs the machine gets the continuation the stepped path makes, and
+        is run toward it in turn."""
+        code = self.lines
+        while not isinstance(node, _INLINE) and depth < _NEST:
+            if type(node) is IfExpr and isinstance(node.test, _INLINE):
+                code.append(f"{pad}if {self.value(node.test, pad)} "
+                            "is not False:")
+                self.run(node.then, k, pad + "    ", depth + 1)
+                node = node.alt or _NO_ALT
+            elif type(node) is BeginExpr:
+                forms, node = node.body, node.body[-1]
+                for i, form in enumerate(forms[:-1]):
+                    if not isinstance(form, _INLINE):
+                        self.left += forms[i + 1:]
+                        k = self.cont(pad, "cont_begin", self.name(forms),
+                                      i + 1, "env", k)
+                        node = form
+                        break
+                    if type(form) is RequireStmt:
+                        self.guards[form.op.name, form.prim] = None
+                        code.append(f"{pad}if {self.value(form.args[0], pad)}"
+                                    " is False: return invoke_fail(m)")
+                    else:
+                        self.value(form, pad)
+            elif isinstance(node, AppExpr) and isinstance(node.op, _INLINE):
+                primcall, app, xs = type(node) is PrimCall, self.name(node), []
+                if primcall:
+                    self.guards[node.op.name, node.prim] = None
+                    proc = self.name(node.prim)
+                else:
+                    proc = self.value(node.op, pad)
+                for i, arg in enumerate(node.args):
+                    if isinstance(arg, _INLINE):
+                        xs.append(self.value(arg, pad))
+                        continue
+                    self.left += node.args[i + 1:]
+                    if primcall and i == len(node.args) - 1:
+                        # the primitive's last operand: the handler calls it
+                        ys = _items(f"a{j}" for j in range(len(xs)))
+                        label = f"ret{len(self.rets)}"
+                        self.rets.append(
+                            f"def {label}(m):\n    {ys}k, = m.fields_reg\n"
+                            f"    apply_cont(m, k, {proc}.fn(m, ({ys}"
+                            "m.value_reg, )))\n")
+                        k = self.cont(pad, label, *xs, k)
+                    else:
+                        k = self.cont(pad, "cont_operand", proc, app, i + 1,
+                                      f"({_items(xs)})", "env", k)
+                    node = arg
+                    break
+                else:
+                    return code.append(
+                        f"{pad}return apply_cont(m, {k}, "
+                        f"{proc}.fn(m, ({_items(xs)})))" if primcall else
+                        f"{pad}return apply_proc(m, {proc}, ({_items(xs)}), "
+                        f"{k}, {app})")
+            else:
+                break
+        if isinstance(node, _INLINE):
+            code.append(f"{pad}return apply_cont(m, {k}, "
+                        f"{self.value(node, pad)})")
+        else:
+            self.left.append(node)
+            code.append(f"{pad}return {self.name(node)}.run(m, env, {k})")
+
+    def cont(self, pad, label, *fields):
+        temp = f"c{len(self.lines)}"
+        self.lines.append(f"{pad}{temp} = m.make_cont({label}, "
+                          f"{_items(map(str, fields))})")
+        return temp
+
+
+def _items(xs):
+    return "".join(x + ", " for x in xs)
+
+
+def _fused_run(app, m, env, k):
+    value = app.val(m, env)
+    if value is _STEP:
+        _app_run(app, m, env, k)
+    else:
+        apply_cont(m, k, value)

@@ -35,7 +35,7 @@ gets it in `AppExpr.prim`: with a pure primitive and operands all computed
 inline it is computed inline too (`PrimApp1`, `PrimApp2`, `PrimAppN`, by
 operand count), else it is a `PrimCall`.  An inline `(require e)` before
 the last form of a body is a `RequireStmt`, whose value is dropped.  The
-machine compiles such inline trees later, in a lambda it has entered often.
+machine compiles the body of a lambda it has entered often.
 """
 
 from . import syntax
@@ -106,7 +106,7 @@ class SetExpr:
 class LambdaExpr:
     """`defines` counts the slots its body's `define`s add after the
     parameters; `entries` counts the machine's entries into its closures,
-    and is None once the machine has compiled its body's inline trees."""
+    and is None once the machine has compiled its body."""
 
     __slots__ = ("params", "rest", "body", "defines", "entries")
 

@@ -21,12 +21,6 @@ classes `parse_core` picks have their own: a `GlobalRef`, `LocalRef0` or
 `LocalRef1` reads its variable without a depth loop, and a `PrimApp1`,
 `PrimApp2` or `PrimAppN` calls its primitive inline, as a `PrimCall` does
 once its operands are in, while the operator's global still holds it.
-Once a lambda's closures have been entered `_HOT_ENTRIES` times, each inline
-tree in its body (a `PrimApp*` or `RequireStmt` root and all under it) is
-compiled to one Python function, which becomes the root's `val`: it checks
-every operator's global first, gives `_STEP` if one has been rebound, and
-then computes the nodes in order, writing out `not`, `null?` and `list` as
-Python expressions (`Primitive.inline`).  A form run once never compiles.
 A `run` descends only into the subforms of its own form, and follows the
 chain of ifs a `cond` becomes in a loop.  Entering a closure body
 (`apply_proc`), delivering to a continuation (`apply_cont`) and resuming a
@@ -35,6 +29,9 @@ trampoline, so host call depth grows only with the nesting that
 `parse_core` itself recursed through, however deeply the interpreted
 program recurses.  A body's forms run in one loop that makes a continuation
 only for a form that needs the machine.
+
+Once a lambda's closures have been entered `_HOT_ENTRIES` times, its body
+is compiled to Python (see `compiler`); a form run once never compiles.
 
 `require` is an ordinary primitive: on a false value it raises `Backtrack`,
 which unwinds whatever handler was computing it to the trampoline, and the
@@ -51,13 +48,13 @@ from .errors import EvalError, SchemeError
 from .forms import (
     AndExpr, AppExpr, BeginExpr, CallccExpr, ChooseExpr, DefineExpr,
     GlobalRef, IfExpr, LambdaExpr, Literal, LocalRef0, LocalRef1, OrExpr,
-    PrimApp1, PrimApp2, PrimAppN, PrimCall, QuoteExpr, RequireStmt, SetExpr,
-    VarRef, parse_core,
+    PrimApp1, PrimApp2, PrimAppN, QuoteExpr, RequireStmt, SetExpr, VarRef,
+    parse_core,
 )
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
 from .values import (
-    NIL, TERMINAL_FAIL, UNASSIGNED, VOID, ChoicePoint, Closure, Cont, Pair,
+    TERMINAL_FAIL, UNASSIGNED, VOID, ChoicePoint, Closure, Cont, Pair,
     Primitive, intern, list_from,
 )
 from .writer import write_value
@@ -314,100 +311,8 @@ PrimApp1.val = _prim_app1_val
 PrimApp2.val = _prim_app2_val
 RequireStmt.val = _require_stmt_val
 
-# closure entries after which a lambda's inline trees are compiled
+# closure entries after which a lambda's body is compiled
 _HOT_ENTRIES = 1000
-
-# the subforms `_fuse` looks through for inline trees, by node class
-_SUBFORMS = {IfExpr: ("test", "then", "alt"), DefineExpr: ("expr",),
-             SetExpr: ("expr",), CallccExpr: ("expr",), BeginExpr: ("body",),
-             AndExpr: ("exprs",), OrExpr: ("exprs",), ChooseExpr: ("exprs",),
-             AppExpr: ("op", "args"), PrimCall: ("op", "args")}
-
-
-def _fuse(lam):
-    """Compile each inline tree in `lam`'s body, outside the lambdas in it,
-    to one function, the `val` of the tree's root; a root that is not a
-    `RequireStmt` also gets a `run` that delivers it."""
-    lam.entries = None
-    roots, todo = [], list(lam.body)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, PrimAppN):
-            roots.append(node)
-            continue
-        for name in _SUBFORMS.get(type(node), ()):
-            sub = getattr(node, name)
-            if type(sub) is tuple:
-                todo += sub
-            elif sub is not None:
-                todo.append(sub)
-    ns = {"_STEP": _STEP, "_FAIL": _FAIL, "UNASSIGNED": UNASSIGNED,
-          "EvalError": EvalError, "Closure": Closure, "Pair": Pair, "NIL": NIL}
-    for root in roots:
-        # one tree at a time: compiling them all at once takes as long and
-        # several times the memory while it runs
-        exec(compile(_fused_source(root, ns), "<fused>", "exec"), ns)
-        cls = type(root)
-        run = {} if cls is RequireStmt else {"run": _fused_run}
-        root.__class__ = type(cls.__name__, (cls,),
-                              {"__slots__": (), "val": ns["fused"], **run})
-
-
-def _fused_source(root, ns):
-    """The source of `fused(app, m, env)`, which gives what `root.val` gives.
-    The tree is pure, so every operator's guard comes first; then comes one
-    temporary per node, in the stepped path's order.  Each symbol, value and
-    primitive goes in through `ns`, so the source holds only made-up names
-    and slot indices."""
-    def name(value):
-        ns[f"k{len(ns)}"] = value
-        return f"k{len(ns) - 1}"
-
-    guards, code, results = {}, [], []
-    todo = [(root, False)]
-    while todo:
-        node, ready = todo.pop()
-        temp = f"t{len(code)}"
-        if isinstance(node, PrimAppN) and not ready:
-            guards[node.op.name, node.prim] = None
-            todo += [(node, True)] + [(a, False) for a in reversed(node.args)]
-            continue
-        if type(node) is LambdaExpr:
-            temp = f"Closure({name(node)}, env)"
-        elif isinstance(node, (Literal, QuoteExpr)):
-            temp = name(node.val(None, None))
-        elif isinstance(node, VarRef):
-            read = (f"get({name(node.name)}, UNASSIGNED)" if node.index is None
-                    else f"env{'[0]' * node.depth}[{node.index}]")
-            code += [f"{temp} = {read}", f"if {temp} is UNASSIGNED: raise "
-                     f"EvalError('UnboundVariable', {name(node.name.name)})"]
-        else:
-            xs = results[len(results) - len(node.args):]
-            del results[len(results) - len(node.args):]
-            if type(node) is RequireStmt:
-                value = f"_FAIL if {xs[0]} is False else {xs[0]}"
-            elif node.prim.inline and len(xs) <= 64:
-                # a longer chain of nested calls could strain the compiler
-                value = node.prim.inline(xs)
-            else:
-                operands = "".join(x + ", " for x in xs)
-                value = f"{name(node.prim)}.fn(m, ({operands}))"
-            code.append(f"{temp} = {value}")
-        results.append(temp)
-    checks = " or ".join(f"get({name(s)}) is not {name(p)}" for s, p in guards)
-    return "".join(["def fused(app, m, env):\n    get = m.globals.get\n"
-                    f"    if {checks}:\n        return _STEP\n",
-                    *(f"    {line}\n" for line in code),
-                    f"    return {results[0]}\n"])
-
-
-def _fused_run(app, m, env, k):
-    value = app.val(m, env)
-    if value is _STEP:
-        _app_run(app, m, env, k)
-    else:
-        apply_cont(m, k, value)
-
 
 def cont_operator(m):
     app, env, k = m.fields_reg
@@ -420,18 +325,25 @@ def cont_operand(m):
 
 
 def _eval_operands(m, proc, app, i, acc, env, k):
-    """Evaluate remaining operands left to right, then apply."""
+    """Evaluate remaining operands left to right, then apply.  A run of
+    values computed inline is gathered in a list, and a continuation gets
+    the values as a tuple."""
     args = app.args
     n = len(args)
+    values = acc
     while i < n:
         arg = args[i]
+        i += 1
         value = arg.val(m, env)
         if value is _STEP:
-            arg.run(m, env, m.make_cont(cont_operand, proc, app, i + 1, acc,
-                                        env, k))
+            arg.run(m, env, m.make_cont(cont_operand, proc, app, i,
+                                        tuple(values), env, k))
             return
-        acc += (value,)
-        i += 1
+        if values is acc:
+            values = [*acc]
+        values.append(value)
+    if values is not acc:
+        acc = tuple(values)
     if proc is app.prim:
         # a `PrimCall`'s primitive, computed before `k`'s spine is current
         apply_cont(m, k, proc.fn(m, acc))
@@ -624,7 +536,7 @@ def apply_proc(m, proc, args, k, app=None):
 
     This is the only place a closure is entered, and the body starts from
     the trampoline rather than from here, through `cont_begin` when it has
-    more than one form.  Tail calls happen here:
+    more than one form (a compiled body is one).  Tail calls happen here:
     the callee runs toward the caller's `k`, so the continuation chain does
     not grow for calls in tail position.  The callee's trace frame goes on
     top of `k`'s spine rather than the current one, so a tail call replaces
@@ -653,7 +565,10 @@ def apply_proc(m, proc, args, k, app=None):
         if lam.entries is not None:
             lam.entries += 1
             if lam.entries >= _HOT_ENTRIES:
-                _fuse(lam)
+                # imported here, so a session that never gets hot never
+                # loads the compiler
+                from .compiler import fuse
+                fuse(lam)
         trace = m.trace
         if trace.config.enabled:
             # node layout: (label, args, line, col, source, parent, depth)

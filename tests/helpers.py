@@ -6,6 +6,7 @@ machine's backtracking order.
 """
 
 import threading
+import time
 from itertools import product
 
 from ambit import write_value
@@ -325,3 +326,21 @@ def run_on_small_stack(fn, size=512 * 1024):
     if "error" in result:
         raise result["error"]
     return result["value"]
+
+
+def scaling_ratio(run, small, large, bound, rounds=15):
+    """time(large) / time(small) for `run(width)`, each the fastest of its
+    runs.  The two widths are timed in turn, so a slow spell of the host
+    reaches both.  After five rounds the timing stops as soon as the ratio
+    is within `bound`, so a slow spell costs more rounds, up to `rounds`,
+    rather than a failure; the bound itself is the caller's."""
+    best = {}
+    for done in range(1, rounds + 1):
+        for width in (small, large):
+            start = time.perf_counter()
+            run(width)
+            took = time.perf_counter() - start
+            best[width] = min(best.get(width, took), took)
+        if done >= 5 and best[large] / best[small] <= bound:
+            break
+    return best[large] / best[small]

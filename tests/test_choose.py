@@ -1,6 +1,5 @@
 import io
 import random
-import time
 from itertools import product
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     COLOR_EUROPE_PROGRAM, coloring_solutions, coloring_text, combo_text,
     exhaust_choices, gen_choose_tree, gen_predicate, gen_search_program,
-    run_on_small_stack, tree_leaves, tree_text,
+    run_on_small_stack, scaling_ratio, tree_leaves, tree_text,
 )
 
 from ambit import Machine, write_value
@@ -308,18 +307,14 @@ def test_long_body_of_requires_on_a_small_stack():
 
 def test_exhausting_a_wide_choose_takes_linear_time():
     # each resumption takes the next alternative by index, so eight times
-    # the alternatives take about eight times as long; the two widths are
-    # timed in turn, so a change in the host's speed reaches both
+    # the alternatives take about eight times as long
     machine = Machine(stdout=io.StringIO())
     for width in (1000, 8000):
         alternatives = " ".join(map(str, range(width)))
         ev(machine, f"(define run-{width} (lambda () (let ((x (choose "
                     f"{alternatives}))) (require (< x 0)) x)))")
-    best = {}
-    for _ in range(5):
-        for width in (1000, 8000):
-            start = time.perf_counter()
-            assert ev(machine, f"(run-{width})") == NO_MORE_CHOICES
-            took = time.perf_counter() - start
-            best[width] = min(best.get(width, took), took)
-    assert best[8000] / best[1000] <= 10
+
+    def run(width):
+        assert ev(machine, f"(run-{width})") == NO_MORE_CHOICES
+
+    assert scaling_ratio(run, 1000, 8000, 10) <= 10

@@ -1,27 +1,28 @@
-"""The class-specialised nodes and the compiled trees against the stepped
+"""The class-specialised nodes and the compiled code against the stepped
 path they short-cut.
 
 Every fast path (inline references and primitive applications, `PrimCall`,
-the statement `require`, a lambda's inline trees compiled once it is hot)
-is guarded by a check that the operator's global still holds the primitive
+the statement `require`, a lambda's body compiled once it is hot) is
+guarded by a check that the operator's global still holds the primitive
 `parse_core` saw.  A machine whose primitives are all rebound to wrapper
 closures before the program is parsed takes the stepped path everywhere,
 so it is an oracle for the fast paths.  A machine whose lambdas count as
-hot from their first entry runs the compiled trees wherever it can.
+hot from their first entry runs compiled code wherever it can.
 """
 
 import io
 import re
-import time
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import COLOR_EUROPE_PROGRAM, scaling_ratio
+
 import ambit.machine
 from ambit import Machine, SchemeError, intern, read_all, write_value
-from ambit.forms import RequireStmt
+from ambit.forms import BeginExpr, RequireStmt
 from ambit.values import NIL, VOID, Pair, Primitive, equal, list_from
 
 
@@ -213,19 +214,41 @@ def test_statement_require_resumes_with_the_choice_points_spine(machine):
 
 def test_a_wide_inline_application_takes_linear_time(machine):
     # the operands' values are gathered in one list, so eight times the
-    # operands take about eight times as long; the two widths are timed in
-    # turn, so a change in the host's speed reaches both
+    # operands take about eight times as long
     ev(machine, "(define x 1)")
     forms = {width: read_all(f"(length (list{' x' * width}))")[0]
              for width in (1000, 8000)}
-    best = {}
-    for _ in range(5):
-        for width in (1000, 8000):
-            start = time.perf_counter()
-            assert machine.eval_top(forms[width]) == width
-            took = time.perf_counter() - start
-            best[width] = min(best.get(width, took), took)
-    assert best[8000] / best[1000] <= 10
+
+    def run(width):
+        assert machine.eval_top(forms[width]) == width
+
+    assert scaling_ratio(run, 1000, 8000, 10) <= 10
+
+
+def test_a_wide_stepped_application_takes_linear_time(machine):
+    # after the closure call, the operands computed inline are gathered in
+    # one list, as in the inline application above
+    ev(machine, "(define g (lambda (x) x))")
+    forms = {width: read_all(
+        f"(length (list (g 1){' (car (list 0))' * width}))")[0]
+        for width in (1000, 8000)}
+
+    def run(width):
+        assert machine.eval_top(forms[width]) == width + 1
+
+    assert scaling_ratio(run, 1000, 8000, 10) <= 10
+
+
+def test_reentering_a_continuation_among_operands_keeps_the_values(machine):
+    ev(machine, "(define saved #f)")
+    # operands computed inline and stepped, before and after the capture
+    ev(machine, "(define r (list (car (list 1)) ((lambda () 0)) "
+                "(call/cc (lambda (c) (set! saved c) 2)) (car (list 3))))")
+    assert write_value(ev(machine, "r")) == "(1 0 2 3)"
+    ev(machine, "(saved 5)")
+    assert write_value(ev(machine, "r")) == "(1 0 5 3)"
+    ev(machine, "(saved 6)")
+    assert write_value(ev(machine, "r")) == "(1 0 6 3)"
 
 
 # --- compiled inline trees ---------------------------------------------------
@@ -238,12 +261,21 @@ def hot():
 
 
 def compiled(node):
-    """Whether `node` computes its tree through compiled code."""
-    return type(node).val.__code__.co_filename == "<fused>"
+    """Whether `node` runs its body, or computes its tree, through compiled
+    code."""
+    method = type(node).run if isinstance(node, BeginExpr) else type(node).val
+    return method.__code__.co_filename == "<fused>"
+
+
+def compiled_body(machine, name):
+    """Whether the named procedure's whole body has been compiled."""
+    return compiled(machine.globals[intern(name)].lam.body[0])
 
 
 def body(machine, name):
-    return machine.globals[intern(name)].lam.body
+    """The named procedure's body forms, as parsed."""
+    forms = machine.globals[intern(name)].lam.body
+    return forms[0].body if compiled_body(machine, name) else forms
 
 
 def exhaust(machine, text):
@@ -258,9 +290,9 @@ def test_a_lambda_is_compiled_on_its_threshold_entry(machine):
     ev(machine, "(define loop (lambda (n) "
                 "(if (= n 0) 'done (begin (f n) (loop (- n 1))))))")
     ev(machine, f"(loop {ambit.machine._HOT_ENTRIES - 1})")
-    assert not compiled(body(machine, "f")[0])
+    assert not compiled_body(machine, "f")
     assert ev(machine, "(f 1)") == 2
-    assert compiled(body(machine, "f")[0])
+    assert compiled_body(machine, "f")
     assert ev(machine, "(f 2)") == 3
 
 
@@ -279,7 +311,7 @@ def test_rebinding_an_operator_after_its_tree_is_compiled(
         machine, hot, define, rebind, call, before, after):
     ev(machine, define)
     assert ev(machine, call) == before
-    assert compiled(body(machine, "f")[0])
+    assert compiled_body(machine, "f")
     ev(machine, rebind)
     assert ev(machine, call) == after
 
@@ -288,13 +320,14 @@ def test_rebinding_an_operator_after_its_tree_is_compiled(
     # `early`'s init reads `late`'s slot before its define has run
     ("(define f (lambda (n) (define early (+ late 1)) (define late n) "
      "early))", "UnboundVariable: late", ["outer", "f"],
-     lambda f: f[0].expr),
+     lambda m: body(m, "f")[0].expr),
     # the same slot one frame out, and then a global never defined
     ("(define f (lambda (n) (define g (lambda () (* 2 (+ late 1)))) "
      "(define early (g)) (define late n) early))", "UnboundVariable: late",
-     ["outer", "f", "g"], lambda f: f[0].expr.body[0]),
+     ["outer", "f", "g"], lambda m: body(m, "f")[0].expr.body[0]),
     ("(define f (lambda (n) (+ n (- nowhere 1))))",
-     "UnboundVariable: nowhere", ["outer", "f"], lambda f: f[0]),
+     "UnboundVariable: nowhere", ["outer", "f"],
+     lambda m: m.globals[intern("f")].lam.body[0]),
 ])
 def test_an_unbound_read_in_a_compiled_tree_keeps_message_and_frames(
         program, label, frames, root):
@@ -312,14 +345,14 @@ def test_an_unbound_read_in_a_compiled_tree_keeps_message_and_frames(
     assert fused[0] == stepped[0] == label
     assert fused[1] == stepped[1]
     assert [frame[0] for frame in fused[1]] == frames
-    assert compiled(root(body(fused[2], "f")))
+    assert compiled(root(fused[2]))
 
 
 def test_a_nested_require_in_a_compiled_tree_backtracks(machine, hot):
     ev(machine, "(define f (lambda (x) (car (list x (require (> x 1))))))")
     assert exhaust(machine, "(f (choose 1 2 0 3))") == [
         2, 3, "no more choices"]
-    assert compiled(body(machine, "f")[0])
+    assert compiled_body(machine, "f")
 
 
 def test_compiled_roots_in_tail_test_and_alternative_positions(machine, hot):
@@ -329,16 +362,15 @@ def test_compiled_roots_in_tail_test_and_alternative_positions(machine, hot):
     assert exhaust(machine, "(f '(1 2))") == [1, 2, "no more choices"]
     assert ev(machine, "(f '())") is intern("none")
     assert ev(machine, "(g 3)") == 12
-    test = body(machine, "f")[0]
-    assert compiled(test.test) and compiled(body(machine, "g")[0])
-    assert all(compiled(alt) for alt in test.alt.exprs)
+    assert compiled_body(machine, "f") and compiled_body(machine, "g")
+    assert all(compiled(alt) for alt in body(machine, "f")[0].alt.exprs)
 
 
 def test_a_compiled_tree_calls_the_primitive_fn_current_at_the_call(
         machine, hot):
     ev(machine, "(define f (lambda (x) (* x (+ x 1))))")
     assert ev(machine, "(f 2)") == 6
-    assert compiled(body(machine, "f")[0])
+    assert compiled_body(machine, "f")
     prim = machine.globals[intern("+")]
     plain, calls = prim.fn, []
 
@@ -349,6 +381,101 @@ def test_a_compiled_tree_calls_the_primitive_fn_current_at_the_call(
     prim.fn = traced
     assert ev(machine, "(f 3)") == 12
     assert calls == [(3, 1)]
+
+
+# --- compiled bodies ---------------------------------------------------------
+
+
+def compiled_and_stepped(forms, call):
+    """Each of `forms`, then `call` exhausted, on a machine whose lambdas are
+    compiled on their first entry and on one where none ever is; both must
+    give the same values (written) or error line and frames, print the same
+    and make as many continuations.  Gives those and the first machine."""
+    runs = []
+    for entries in (1, 10 ** 9):
+        with hot_after(entries):
+            machine = Machine(stdout=io.StringIO())
+            for form in forms:
+                ev(machine, form)
+            try:
+                values = [write_value(value)
+                          for value in exhaust(machine, call)[:-1]]
+            except SchemeError as err:
+                values = (err.error_line(), err.frames)
+            runs.append((values, machine.stdout.getvalue(), machine))
+    (hot, hot_out, fused), (cold, cold_out, stepped) = runs
+    assert hot == cold and hot_out == cold_out
+    assert fused.cont_allocations == stepped.cont_allocations
+    return hot, fused
+
+
+@pytest.mark.parametrize("f", [
+    "(lambda (x) (set! + plus) (g) (+ x 1))",
+    # the guard of `+` passes for the first form, then `g` rebinds it
+    "(lambda (x) (require (= (+ x 0) x)) (g) (+ x 1))",
+])
+def test_a_stepped_call_rebinding_plus_inside_a_compiled_body(f):
+    values, machine = compiled_and_stepped(
+        ["(define plus +)", "(define g (lambda () (set! + -)))",
+         f"(define f {f})", "(f 5)"], "(begin (set! + plus) (f 5))")
+    assert values == ["4"]
+    assert compiled_body(machine, "f")
+
+
+def test_a_continuation_captured_in_a_compiled_body_is_reentered():
+    values, machine = compiled_and_stepped(
+        ["(define saved #f)", "(define f (lambda (x) (list (car (list x)) "
+         "(call/cc (lambda (c) (set! saved c) 1)) (* x 2))))",
+         "(define r (f 5))", "(saved 7)"], "r")
+    assert values == ["(5 7 10)"]
+    assert compiled_body(machine, "f")
+
+
+def test_a_choose_operand_of_a_compiled_body_is_exhausted():
+    values, machine = compiled_and_stepped(
+        ["(define f (lambda (x) (let ((y (- x (choose 1 2 3)))) "
+         "(require (not (= y 8))) (* y 2))))"], "(f 10)")
+    assert values == ["18", "14"]
+    assert compiled_body(machine, "f")
+
+
+@pytest.mark.parametrize("forms, call, line", [
+    # a tail call of the wrong arity, a `PrimCall` with its operands in,
+    # and one whose last operand returns to the compiled continuation
+    (["(define g (lambda (a b) a))", "(define f (lambda (x) (g x)))"],
+     "(outer 1)", "ArityError: g: expected 2 argument(s), got 1"),
+    (["(define f (lambda (x) (vector-set! x 5 0)))"], "(outer (vector 1))",
+     "vector-set!: index 5 out of range for length 1"),
+    (["(define id (lambda (v) v))", "(define f (lambda (x) (+ 1 (id x))))"],
+     "(outer 'a)", "+: expected a number, got a"),
+])
+def test_errors_in_compiled_bodies_keep_message_and_frames(forms, call, line):
+    (error, frames), machine = compiled_and_stepped(
+        forms + ["(define outer (lambda (n) (list (f n))))"], call)
+    assert error == line
+    assert [frame[0] for frame in frames] == ["outer", "f"]
+    assert compiled_body(machine, "f")
+
+
+def test_deep_ifs_and_a_long_cond_in_a_compiled_body():
+    nested = "(if (< x 1000) " * 200 + "x" + " 0)" * 200
+    clauses = " ".join(f"((= x {i}) {i})" for i in range(500))
+    values, machine = compiled_and_stepped(
+        [f"(define f (lambda (x) {nested}))",
+         f"(define g (lambda (x) (cond {clauses} (else 'none))))",
+         "(f 2)", "(g 1)"], "(list (f 1) (f 1000) (g 499) (g 500))")
+    assert values == ["(1 0 499 none)"]
+    assert compiled_body(machine, "f") and compiled_body(machine, "g")
+
+
+def test_compiled_bodies_make_the_continuations_the_stepped_path_makes():
+    _, machine = compiled_and_stepped(
+        [COLOR_EUROPE_PROGRAM, "(color-europe)",
+         "(define pick (lambda (d) (if (= d 0) (choose 1 2) "
+         "(+ 1 (pick (- d 1))))))", "(pick 30)"],
+        "(let ((x (pick 20))) (require (> x 21)) (display x) x)")
+    assert compiled_body(machine, "pick")
+    assert compiled_body(machine, "color-europe")
 
 
 # --- the inline expressions of `not`, `null?` and `list` ---------------------
