@@ -4,14 +4,15 @@ Once a lambda's closures have been entered `machine._HOT_ENTRIES` times,
 `fuse` compiles its whole body to one Python `run`, the code the machine's
 handlers would step through for it, written out: it computes inline values,
 writing `not`, `null?` and `list` as Python expressions
-(`Primitive.inline`), assigns registers, makes the continuations the
-stepped path makes, and returns to the trampoline as soon as it starts a
-subform that needs the machine, so host depth stays constant.  It checks
-every operator's global first and runs the stepped path if one has been
-rebound.  The check holds only up to the first stepped subform, which may
-run user code that rebinds one, so all after it is left to the stepped
-path, and each inline tree there is compiled to one function that becomes
-its root's `val`.
+(`Primitive.inline`) and `(member x (list …))` as a scan of the operands
+that builds no list unless one matches (`primitives._SCAN`), assigns
+registers, makes the continuations the stepped path makes, and returns to
+the trampoline as soon as it starts a subform that needs the machine, so
+host depth stays constant.  It checks every operator's global first and
+runs the stepped path if one has been rebound.  The check holds only up to
+the first stepped subform, which may run user code that rebinds one, so
+all after it is left to the stepped path, and each inline tree there is
+compiled to one function that becomes its root's `val`.
 """
 
 # the compiled code reads this module's names, some imported only for it
@@ -25,7 +26,8 @@ from .machine import (
     _FAIL, _NO_ALT, _STEP, _app_run, _run_body, apply_cont, apply_proc,
     cont_begin, cont_operand, invoke_fail,
 )
-from .values import NIL, UNASSIGNED, Closure, Pair
+from .primitives import _SCAN
+from .values import BY_IDENTITY, NIL, UNASSIGNED, Closure, Pair
 
 # how deep compiled code nests (Python's parser allows 100 levels of
 # indentation) and its generator recurses; a subform past that runs through
@@ -110,11 +112,19 @@ class _Code:
             temp = f"t{len(code)}"
             if isinstance(node, PrimAppN) and not ready:
                 self.guards[node.op.name, node.prim] = None
-                todo.append((node, True))
-                todo += [(a, False) for a in reversed(node.args)]
+                args = node.args
+                lst = args[-1] if args else None
+                test = (isinstance(lst, PrimAppN) and len(lst.args) <= 64
+                        and _SCAN.get((node.prim.name, lst.prim.name)))
+                if test:  # the list's operands stand in for the list
+                    self.guards[lst.op.name, lst.prim] = None
+                    args = (*args[:-1], *lst.args)
+                todo.append((node, (len(args), test)))
+                todo += [(a, False) for a in reversed(args)]
                 continue
             if type(node) is LambdaExpr:
-                temp = f"Closure({self.name(node)}, env)"
+                # made once, though a scan names its operands more than once
+                code.append(f"{pad}{temp} = Closure({self.name(node)}, env)")
             elif isinstance(node, (Literal, QuoteExpr)):
                 temp = self.name(node.val(None, None))
             elif type(node) is LocalRef0 and node.index <= self.params:
@@ -127,8 +137,12 @@ class _Code:
                          "UNASSIGNED: raise EvalError('UnboundVariable', "
                          f"{self.name(node.name.name)})"]
             else:
-                xs = results[len(results) - len(node.args):]
-                del results[len(results) - len(node.args):]
+                count, test = ready
+                xs = results[len(results) - count:]
+                del results[len(results) - count:]
+                if test:
+                    results.append(self.scan(node, test, xs, pad))
+                    continue
                 if type(node) is RequireStmt:
                     value = f"_FAIL if {xs[0]} is False else {xs[0]}"
                 elif node.prim.inline and len(xs) <= 64:
@@ -139,6 +153,19 @@ class _Code:
                 code.append(f"{pad}{temp} = {value}")
             results.append(temp)
         return results[0]
+
+    def scan(self, node, test, xs, pad):
+        """Write `node` as the scan `_SCAN` gives it, of target `xs[0]` over
+        items `xs[1:]`, which a symbol target needs no `test` for
+        (`BY_IDENTITY`); gives its temporary."""
+        code, build = self.lines, node.args[-1].prim.inline
+        x, ys, temp, test = xs[0], xs[1:], f"t{len(code)}", self.name(test)
+        code.append(f"{pad}{temp} = type({x}) is BY_IDENTITY")
+        for i, y in enumerate(ys):
+            code.append(f"{pad}{'el' * bool(i)}if {x} is {y} or not {temp} "
+                        f"and {test}({x}, {y}): {temp} = {build(ys[i:])}")
+        code.append(f"{pad}{'else: ' * bool(ys)}{temp} = False")
+        return temp
 
     def run(self, node, k, pad, depth):
         """Run `node` toward `k` as its `run` would; the first subform that

@@ -33,6 +33,11 @@ _IMPURE = frozenset({
 # `NIL`) out.
 _INLINE = {}
 
+# The calls compiled code writes as a scan when their list operand is an
+# inline call, by (operator, producer): the test each of the producer's
+# operands gets.  A list is built only from a match on (Wadler 1990).
+_SCAN = {("member", "list"): equal, ("memq", "list"): eq}
+
 
 def install_primitives(table):
     """Bind every built-in procedure in the (fresh) global table."""

@@ -185,7 +185,9 @@ class EntryReader:
     def feed_line(self, line):
         """Add `line`; returns the entry's datums once it is complete and
         None while it is not.  A LexError or ParseError is raised as soon as
-        more input could not mend it, and the entry starts over."""
+        more input could not mend it, and the entry starts over.  Each call
+        is one line, its final newline implied, as `readline` gives a file's
+        last line: `feed_line('(ab')` then `feed_line('c)')` read `(ab c)`."""
         self.lines.append(line)
         try:
             self.datums += self._read(line, len(self.lines))

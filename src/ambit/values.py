@@ -198,6 +198,11 @@ def eqv(x, y):
 eq = eqv
 
 
+# `equal?`, `eqv?` and `eq?` hold between a symbol and a value only when the
+# value is that symbol: interning gives each name one object.
+BY_IDENTITY = Symbol
+
+
 def equal(x, y):
     """`equal?`: pairs and vectors by structure, numbers by `eqv?`, strings
     by text, everything else by identity.

@@ -20,10 +20,14 @@ from hypothesis import strategies as st
 
 from helpers import COLOR_EUROPE_PROGRAM, scaling_ratio
 
+import ambit.compiler
 import ambit.machine
 from ambit import Machine, SchemeError, intern, read_all, write_value
 from ambit.forms import BeginExpr, RequireStmt
-from ambit.values import NIL, VOID, Pair, Primitive, equal, list_from
+from ambit.values import (
+    BY_IDENTITY, NIL, VOID, Pair, Primitive, equal, eqv, list_from,
+    to_pylist,
+)
 
 
 def ev(machine, text):
@@ -81,14 +85,21 @@ def _int(draw, names, depth, helper):
 
 
 def _bool(draw, names, depth, helper):
-    kind = draw(st.sampled_from(["lit", "<", "=", "not", "member"]))
+    kind = draw(st.sampled_from(["lit", "<", "=", "not", "member", "memq",
+                                 "symbols"]))
     if kind == "lit":
         return draw(st.sampled_from(["#t", "#f"]))
     if kind == "not":
         return f"(not {_bool(draw, names, max(depth - 1, 0), helper)})"
+    if kind == "symbols":
+        # compiled code decides a symbol target's membership by identity
+        op = draw(st.sampled_from(["member", "memq"]))
+        a, b, c = (draw(st.sampled_from(["'a", "'b", "(choose 'a 'b)"]))
+                   for _ in range(3))
+        return f"({op} {a} (list {b} {c}))"
     a, b, c = (_int(draw, names, max(depth - 1, 0), helper) for _ in range(3))
-    if kind == "member":
-        return f"(member {a} (list {b} {c}))"
+    if kind in ("member", "memq"):
+        return f"({kind} {a} (list {b} {c}))"
     return f"({kind} {a} {b})"
 
 
@@ -448,6 +459,11 @@ def test_a_choose_operand_of_a_compiled_body_is_exhausted():
      "vector-set!: index 5 out of range for length 1"),
     (["(define id (lambda (v) v))", "(define f (lambda (x) (+ 1 (id x))))"],
      "(outer 'a)", "+: expected a number, got a"),
+    # a scan reads its target, then its items, each checked
+    (["(define f (lambda (x) (member nowhere (list x elsewhere))))"],
+     "(outer 1)", "UnboundVariable: nowhere"),
+    (["(define f (lambda (x) (memq x (list x elsewhere))))"], "(outer 1)",
+     "UnboundVariable: elsewhere"),
 ])
 def test_errors_in_compiled_bodies_keep_message_and_frames(forms, call, line):
     (error, frames), machine = compiled_and_stepped(
@@ -476,6 +492,55 @@ def test_compiled_bodies_make_the_continuations_the_stepped_path_makes():
         "(let ((x (pick 20))) (require (> x 21)) (display x) x)")
     assert compiled_body(machine, "pick")
     assert compiled_body(machine, "color-europe")
+
+
+@pytest.mark.parametrize("rebind, want", [
+    ("(define list vector)", "member: expected a proper list, got #(1 b a)"),
+    ("(define member (lambda (x xs) 'mine))", ["(mine b)"]),
+    ("(define memq (lambda (x xs) 'mine))", ["((b a) . mine)"]),
+])
+def test_rebinding_an_operator_of_a_compiled_scan(rebind, want):
+    values, machine = compiled_and_stepped(
+        ["(define f (lambda (x) "
+         "(cons (member x (list 1 x 'a)) (memq x (list 'a x)))))",
+         "(f 'a)", rebind], "(f 'b)")
+    # an error gives its line and frames
+    assert (values if type(values) is list else values[0]) == want
+    assert compiled_body(machine, "f")
+
+
+@pytest.mark.parametrize("f", [
+    "(lambda (x) (set! list build) (g) (member x (list 1 x)))",
+    # the guard of `list` passes for the first scan, then `g` rebinds it
+    "(lambda (x) (require (member x (list x))) (g) (member x (list 1 x)))",
+])
+def test_a_stepped_call_rebinding_list_inside_a_compiled_body(f):
+    values, machine = compiled_and_stepped(
+        ["(define build list)",
+         "(define g (lambda () (set! list (lambda xs '(0)))))",
+         f"(define f {f})", "(f 5)"], "(begin (set! list build) (f 5))")
+    assert values == ["#f"]
+    assert compiled_body(machine, "f")
+
+
+def test_a_compiled_scan_returns_the_tail_from_the_match():
+    values, machine = compiled_and_stepped(
+        ["(define f (lambda (x y) (member x (list 'a y \"s\" 1.0 (list y)))))",
+         "(define g (lambda (x y) (memq x (list 'a y \"s\" 1.0 (list y)))))"],
+        "(list (f 'a 1) (f 2 2) (f \"s\" 0) (f 1 0) (f '(3) 3) "
+        "(g '(3) 3) (g 1.0 0) (g 2 2) (f 'b 1))")
+    assert values == ['((a 1 "s" 1.0 (1)) (2 "s" 1.0 (2)) ("s" 1.0 (0)) #f '
+                      '((3)) #f (1.0 (0)) (2 "s" 1.0 (2)) #f)']
+    assert compiled_body(machine, "f") and compiled_body(machine, "g")
+
+
+def test_compiled_scans_among_stepped_subforms_make_the_same_continuations():
+    values, machine = compiled_and_stepped(
+        ["(define f (lambda (x) (let ((y (choose 'a 'b 'c))) "
+         "(require (not (memq y (list x 'c)))) "
+         "(list y (member x (list 'a (choose 'b 'c)))))))"], "(f 'a)")
+    assert values == ["(b (a b))", "(b (a c))"]
+    assert compiled(body(machine, "f")[0].op.body[0])
 
 
 # --- the inline expressions of `not`, `null?` and `list` ---------------------
@@ -526,3 +591,62 @@ def test_inline_expressions_agree_with_their_primitives(name, values):
         assert got.car is value
         got = got.cdr
     assert got is NIL
+
+
+# --- `member` and `memq` over an inline `list`, scanned ----------------------
+
+
+_SCAN_VALUES = st.one_of(_VALUES, st.recursive(
+    st.sampled_from(["1", "1.0", "sym", "#f", '"a"']),
+    lambda items: st.lists(items, max_size=3).flatmap(
+        lambda xs: st.sampled_from(["#(", "("]).map(
+            lambda opener: opener + " ".join(xs) + ")")),
+    max_leaves=6).map(lambda text: read_all(text)[0].value))
+
+
+@st.composite
+def _scan_operands(draw):
+    """A target, often one of the items, and 0-5 items."""
+    items = draw(st.lists(_SCAN_VALUES, max_size=5))
+    pool = st.sampled_from(items) if items else _SCAN_VALUES
+    return draw(st.one_of(pool, _SCAN_VALUES)), items
+
+
+def scan(name, target, items):
+    """The value and source of the compiled code of `(name x (list y0 …))`
+    over `target` and `items`, read from the lambda's parameters."""
+    machine = Machine(stdout=io.StringIO())
+    ys = "".join(f" y{i}" for i in range(len(items)))
+    lam = ev(machine, f"(lambda (x{ys}) ({name} x (list{ys})))").lam
+    code = ambit.compiler._Code(dict(vars(ambit.compiler)), lam)
+    result = code.value(lam.body[0], "    ")
+    source = code.function("scan(m, env)", "None") + f"    return {result}\n"
+    exec(source, code.ns)
+    return code.ns["scan"](machine, [None, target, *items]), source
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["member", "memq"]), _scan_operands())
+def test_compiled_scans_agree_with_their_primitives(name, operands):
+    target, items = operands
+    got, source = scan(name, target, items)
+    assert ".fn(" not in source  # no list is built to be scanned
+    prim = Machine(stdout=io.StringIO()).globals[intern(name)]
+    want = prim.fn(None, (target, list_from(items)))
+    if want is False:
+        assert got is False
+        return
+    assert equal(got, want) and type(got) is Pair
+    for item in items[len(items) - len(to_pylist(want)):]:
+        assert got.car is item
+        got = got.cdr
+    assert got is NIL
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SCAN_VALUES, min_size=1, max_size=5))
+def test_a_symbol_is_equal_and_eqv_to_itself_alone(values):
+    symbols = [v for v in values if type(v) is BY_IDENTITY] + [intern("sym")]
+    for x in symbols:
+        for y in values + symbols:
+            assert equal(x, y) is equal(y, x) is eqv(x, y) is (x is y)

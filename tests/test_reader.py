@@ -302,6 +302,17 @@ def test_entry_reader_holds_datums_until_the_entry_closes():
     assert entry.lines == []
 
 
+def test_entry_reader_implies_a_line_s_missing_final_newline():
+    entry = EntryReader()
+    assert entry.feed_line("(ab") is None
+    got = entry.feed_line("c)\n")
+    whole = read_all("(ab\nc)\n")
+    assert len(got) == len(whole) == 1
+    assert equal(got[0].value, whole[0].value)
+    assert to_pylist(got[0].value) == [intern("ab"), intern("c")]
+    assert got[0].value.cdr.loc == whole[0].value.cdr.loc == (2, 1)
+
+
 def test_entry_reader_lexes_a_string_across_lines_together():
     entry = EntryReader()
     assert entry.feed_line('(f "a ( ;\n') is None
