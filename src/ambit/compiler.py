@@ -11,20 +11,18 @@ the trampoline as soon as it starts a subform that needs the machine, so
 host depth stays constant.  It checks every operator's global first and
 runs the stepped path if one has been rebound.  The check holds only up to
 the first stepped subform, which may run user code that rebinds one, so
-all after it is left to the stepped path, and each inline tree there is
-compiled to one function that becomes its root's `val`.
+all after it is left to the stepped path.
 """
 
 # the compiled code reads this module's names, some imported only for it
 from .errors import EvalError
 from .forms import (
-    _INLINE, AndExpr, AppExpr, BeginExpr, CallccExpr, ChooseExpr, DefineExpr,
-    IfExpr, LambdaExpr, Literal, LocalRef0, OrExpr, PrimAppN, PrimCall,
-    QuoteExpr, RequireStmt, SetExpr, VarRef,
+    _INLINE, AppExpr, BeginExpr, IfExpr, LambdaExpr, Literal, PrimAppN,
+    PrimCall, QuoteExpr, RequireStmt, VarRef,
 )
 from .machine import (
-    _FAIL, _NO_ALT, _STEP, _app_run, _run_body, apply_cont, apply_proc,
-    cont_begin, cont_operand, invoke_fail,
+    _FAIL, _NO_ALT, _run_body, apply_cont, apply_proc, cont_begin,
+    cont_operand, invoke_fail,
 )
 from .primitives import _SCAN
 from .values import BY_IDENTITY, NIL, UNASSIGNED, Closure, Pair
@@ -34,62 +32,30 @@ from .values import BY_IDENTITY, NIL, UNASSIGNED, Closure, Pair
 # its own `run`
 _NEST = 40
 
-# the subforms `fuse` looks through for inline trees, by node class
-_SUBFORMS = {IfExpr: ("test", "then", "alt"), DefineExpr: ("expr",),
-             SetExpr: ("expr",), CallccExpr: ("expr",), BeginExpr: ("body",),
-             AndExpr: ("exprs",), OrExpr: ("exprs",), ChooseExpr: ("exprs",),
-             AppExpr: ("op", "args"), PrimCall: ("op", "args")}
-
 
 def fuse(lam):
     """Compile `lam`'s body to the `run` of a `BeginExpr` that becomes the
-    whole body, and each inline tree it leaves to the stepped path (outside
-    the lambdas in it) to its root's `val`, all in one go; a root that is
-    not a `RequireStmt` also gets a `run` that delivers it."""
+    whole body."""
     lam.entries = None
     code = _Code(dict(globals()), lam)
     code.run(BeginExpr(lam.body), "k", "    ", 0)
-    # a body that is one form left to its own `run` gains nothing
-    whole = len(code.lines) > 1 or not code.left
-    sources = [code.function("body(node, m, env, k)",
-                             "_run_body(m, node.body, 0, env, k)")
-               ] if whole else []
-    roots, todo = [], code.left
-    while todo:
-        node = todo.pop()
-        if isinstance(node, PrimAppN):
-            roots.append(node)
-            continue
-        for name in _SUBFORMS.get(type(node), ()):
-            sub = getattr(node, name)
-            if type(sub) is tuple:
-                todo += sub
-            elif sub is not None:
-                todo.append(sub)
-    for i, root in enumerate(roots):
-        code.lines, code.guards = [], {}
-        code.lines.append(f"    return {code.value(root, '    ')}")
-        sources.append(code.function(f"tree{i}(app, m, env)", "_STEP"))
-    exec(compile("".join(sources + code.rets), "<fused>", "exec"), code.ns)
-    for i, root in enumerate(roots):
-        cls = type(root)
-        run = {} if cls is RequireStmt else {"run": _fused_run}
-        root.__class__ = type(cls.__name__, (cls,), {
-            "__slots__": (), "val": code.ns[f"tree{i}"], **run})
-    if whole:
-        lam.body = (type("BeginExpr", (BeginExpr,), {
-            "__slots__": (), "run": code.ns["body"]})(lam.body),)
+    # a body that is one form handed to its own `run` gains nothing
+    if len(code.lines) == 1 and code.lines[0].endswith(".run(m, env, k)"):
+        return
+    exec(compile(code.function("body(node, m, env, k)",
+                               "_run_body(m, node.body, 0, env, k)")
+                 + "".join(code.rets), "<fused>", "exec"), code.ns)
+    lam.body = (type("BeginExpr", (BeginExpr,), {
+        "__slots__": (), "run": code.ns["body"]})(lam.body),)
 
 
 class _Code:
-    """What `fuse` compiles: the lines and operator guards of a function,
-    the handlers of continuations made there, and the subforms left to the
-    stepped path.  The code reads this module's names, and each datum it is
-    handed under a made-up name in `ns`."""
+    """What `fuse` compiles: the lines and operator guards of a function and
+    the handlers of continuations made there.  The code reads this module's
+    names, and each datum it is handed under a made-up name in `ns`."""
 
     def __init__(self, ns, lam):
-        self.ns, self.lines, self.guards, self.rets, self.left = (
-            ns, [], {}, [], [])
+        self.ns, self.lines, self.guards, self.rets = ns, [], {}, []
         self.params = len(lam.params) + (lam.rest is not None)
 
     def name(self, value):
@@ -127,7 +93,8 @@ class _Code:
                 code.append(f"{pad}{temp} = Closure({self.name(node)}, env)")
             elif isinstance(node, (Literal, QuoteExpr)):
                 temp = self.name(node.val(None, None))
-            elif type(node) is LocalRef0 and node.index <= self.params:
+            elif (type(node) is VarRef and node.depth == 0
+                  and node.index <= self.params):
                 temp = f"env[{node.index}]"  # a parameter is never unassigned
             elif isinstance(node, VarRef):
                 read = (f"get({self.name(node.name)}, UNASSIGNED)"
@@ -182,7 +149,6 @@ class _Code:
                 forms, node = node.body, node.body[-1]
                 for i, form in enumerate(forms[:-1]):
                     if not isinstance(form, _INLINE):
-                        self.left += forms[i + 1:]
                         k = self.cont(pad, "cont_begin", self.name(forms),
                                       i + 1, "env", k)
                         node = form
@@ -204,7 +170,6 @@ class _Code:
                     if isinstance(arg, _INLINE):
                         xs.append(self.value(arg, pad))
                         continue
-                    self.left += node.args[i + 1:]
                     if primcall and i == len(node.args) - 1:
                         # the primitive's last operand: the handler calls it
                         ys = _items(f"a{j}" for j in range(len(xs)))
@@ -231,7 +196,6 @@ class _Code:
             code.append(f"{pad}return apply_cont(m, {k}, "
                         f"{self.value(node, pad)})")
         else:
-            self.left.append(node)
             code.append(f"{pad}return {self.name(node)}.run(m, env, {k})")
 
     def cont(self, pad, label, *fields):
@@ -244,10 +208,3 @@ class _Code:
 def _items(xs):
     return "".join(x + ", " for x in xs)
 
-
-def _fused_run(app, m, env, k):
-    value = app.val(m, env)
-    if value is _STEP:
-        _app_run(app, m, env, k)
-    else:
-        apply_cont(m, k, value)

@@ -28,14 +28,14 @@ out, slot `index`.  Any other name is global and is read by symbol from the
 machine's global table at run time, so later definitions are seen.  The
 addresses are filled in once the whole top-level form is parsed, so a
 reference may precede the body `define` it names.  Then each node's class
-is picked once, so the machine dispatches on it: a reference becomes a
-`GlobalRef`, a `LocalRef0` or a `LocalRef1` (depth 0 or 1).  An application
-whose operator is a global holding an ordinary primitive of fitting arity
-gets it in `AppExpr.prim`: with a pure primitive and operands all computed
-inline it is computed inline too (`PrimApp1`, `PrimApp2`, `PrimAppN`, by
-operand count), else it is a `PrimCall`.  An inline `(require e)` before
-the last form of a body is a `RequireStmt`, whose value is dropped.  The
-machine compiles the body of a lambda it has entered often.
+is picked once, so the machine dispatches on it: a global reference becomes
+a `GlobalRef`, and a local one stays a `VarRef`.  An application whose
+operator is a global holding an ordinary primitive of fitting arity gets it
+in `AppExpr.prim`: with a pure primitive and operands all computed inline
+it is computed inline too (`PrimApp1`, `PrimApp2`, `PrimAppN`, by operand
+count), else it is a `PrimCall`.  An inline `(require e)` before the last
+form of a body is a `RequireStmt`, whose value is dropped.  The machine
+compiles the body of a lambda it has entered often.
 """
 
 from . import syntax
@@ -175,8 +175,6 @@ def _node_class(name, base):
 
 
 GlobalRef = _node_class("GlobalRef", VarRef)
-LocalRef0 = _node_class("LocalRef0", VarRef)
-LocalRef1 = _node_class("LocalRef1", VarRef)
 PrimAppN = _node_class("PrimAppN", AppExpr)
 PrimApp1 = _node_class("PrimApp1", PrimAppN)
 PrimApp2 = _node_class("PrimApp2", PrimAppN)
@@ -284,8 +282,6 @@ def parse_core(form, macros, source="<input>", global_table=None):
             if index is not None:
                 ref.depth = depth
                 ref.index = index
-                if depth < 2:
-                    ref.__class__ = LocalRef1 if depth else LocalRef0
                 break
             scope = scope.parent
             depth += 1

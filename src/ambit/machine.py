@@ -17,10 +17,10 @@ Each core form evaluates itself: this module gives every node class of
 `forms` a `run(m, env, k)` method, which evaluates the form toward `k`, and
 a `val(m, env)` method, which returns the form's value when it has no
 observable evaluation steps and `_STEP` when it needs the machine.  The
-classes `parse_core` picks have their own: a `GlobalRef`, `LocalRef0` or
-`LocalRef1` reads its variable without a depth loop, and a `PrimApp1`,
-`PrimApp2` or `PrimAppN` calls its primitive inline, as a `PrimCall` does
-once its operands are in, while the operator's global still holds it.
+classes `parse_core` picks have their own: a `GlobalRef` reads its symbol
+from the global table, and a `PrimApp1`, `PrimApp2` or `PrimAppN` calls its
+primitive inline, as a `PrimCall` does once its operands are in, while the
+operator's global still holds it.
 A `run` descends only into the subforms of its own form, and follows the
 chain of ifs a `cond` becomes in a loop.  Entering a closure body
 (`apply_proc`), delivering to a continuation (`apply_cont`) and resuming a
@@ -47,9 +47,8 @@ from . import syntax
 from .errors import EvalError, SchemeError
 from .forms import (
     AndExpr, AppExpr, BeginExpr, CallccExpr, ChooseExpr, DefineExpr,
-    GlobalRef, IfExpr, LambdaExpr, Literal, LocalRef0, LocalRef1, OrExpr,
-    PrimApp1, PrimApp2, PrimAppN, QuoteExpr, RequireStmt, SetExpr, VarRef,
-    parse_core,
+    GlobalRef, IfExpr, LambdaExpr, Literal, OrExpr, PrimApp1, PrimApp2,
+    PrimAppN, QuoteExpr, RequireStmt, SetExpr, VarRef, parse_core,
 )
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
@@ -218,25 +217,9 @@ def _global_val(ref, m, env):
         raise EvalError("UnboundVariable", ref.name.name) from None
 
 
-def _local0_val(ref, m, env):
-    value = env[ref.index]
-    if value is UNASSIGNED:
-        raise EvalError("UnboundVariable", ref.name.name)
-    return value
-
-
-def _local1_val(ref, m, env):
-    value = env[0][ref.index]
-    if value is UNASSIGNED:
-        raise EvalError("UnboundVariable", ref.name.name)
-    return value
-
-
 VarRef.val = _var_val
 VarRef.run = _deliver
 GlobalRef.val = _global_val
-LocalRef0.val = _local0_val
-LocalRef1.val = _local1_val
 Literal.val = lambda lit, m, env: lit.value
 Literal.run = lambda lit, m, env, k: apply_cont(m, k, lit.value)
 QuoteExpr.val = lambda quote, m, env: quote.datum

@@ -13,7 +13,7 @@ import math
 
 from .errors import EvalError
 from .machine import Backtrack, apply_proc
-from .reader import _INT_RE, _REAL_RE
+from .reader import _INF_NAN, _INT_RE, _REAL_RE
 from .values import (
     INT64_MAX, INT64_MIN, NIL, VOID, Closure, Cont, Pair, Primitive, Symbol,
     eq, equal, eqv, intern, list_from, to_pylist,
@@ -28,9 +28,9 @@ _IMPURE = frozenset({
     "display", "write", "newline", "print", "vector-set!", "use-stack-trace",
 })
 
-# What the machine's compiled trees compute in place of a call, by name: the
-# operands' Python expressions in, an expression (which may name `Pair` and
-# `NIL`) out.
+# What compiled code computes in place of a call, by name: the operands'
+# Python expressions in, an expression (which may name `Pair` and `NIL`)
+# out.
 _INLINE = {}
 
 # The calls compiled code writes as a scan when their list operand is an
@@ -498,7 +498,7 @@ def _prim_string_to_number(m, args):
         return False
     if _REAL_RE.match(text):
         return float(text)
-    return False
+    return _INF_NAN.get(text, False)
 
 
 # --- output --------------------------------------------------------------

@@ -15,6 +15,7 @@ the next line carries on with it.  `read_all` reads a whole text as one
 such line.
 """
 
+import math
 import re
 from itertools import chain
 
@@ -24,6 +25,8 @@ from .values import INT64_MAX, INT64_MIN, NIL, Pair, SourcePair, intern
 # used by string->number as well
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _REAL_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?\Z")
+# the reals written without digits (R7RS 6.2.6)
+_INF_NAN = {"+inf.0": math.inf, "-inf.0": -math.inf, "+nan.0": math.nan}
 
 
 class SourceDatum:
@@ -156,7 +159,7 @@ def _atom(lexeme, text, start, loc):
         if _REAL_RE.match(lexeme):
             return float(lexeme)
         raise LexError(f"malformed number '{lexeme}'", *loc)
-    return intern(lexeme)
+    return _INF_NAN.get(lexeme) or intern(lexeme)
 
 
 class EntryReader:

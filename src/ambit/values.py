@@ -209,9 +209,11 @@ def equal(x, y):
 
     Comparisons still to be made wait on an explicit list, so nesting never
     grows the host stack.  The list is made only when two cars are both
-    pairs or both vectors; comparing atoms allocates nothing.
+    pairs or both vectors; comparing atoms allocates nothing.  A cycle can
+    only pass through a vector, so a pair of vectors met again is taken as
+    equal, which ends the comparison of circular data (R7RS 6.1).
     """
-    todo = None
+    todo = seen = None
     while True:
         if x is not y:
             if isinstance(x, Pair):
@@ -237,9 +239,11 @@ def equal(x, y):
             if tx is list:
                 if type(y) is not list or len(x) != len(y):
                     return False
-                if todo is None:
-                    todo = []
-                todo.extend(zip(reversed(x), reversed(y)))
+                if seen is None:
+                    seen, todo = set(), [] if todo is None else todo
+                if (id(x), id(y)) not in seen:
+                    seen.add((id(x), id(y)))
+                    todo.extend(zip(reversed(x), reversed(y)))
             elif not ((tx is int or tx is float or tx is str)
                       and type(y) is tx and x == y):
                 return False

@@ -14,6 +14,7 @@ MAX_RENDER_DEPTH = 200
 DEPTH_MARKER = "#<too-deep>"
 
 _STRING_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"}
+_INF_NAN = {"inf": "+inf.0", "-inf": "-inf.0", "nan": "+nan.0"}  # R7RS 6.2.6
 
 
 def write_value(value, display=False):
@@ -41,7 +42,8 @@ def _render(value, display, out, depth):
         out.append(str(value))
         return
     if t is float:
-        out.append(repr(value))
+        text = repr(value)
+        out.append(_INF_NAN.get(text, text))
         return
     if t is str:
         if display:

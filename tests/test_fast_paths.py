@@ -23,7 +23,7 @@ from helpers import COLOR_EUROPE_PROGRAM, scaling_ratio
 import ambit.compiler
 import ambit.machine
 from ambit import Machine, SchemeError, intern, read_all, write_value
-from ambit.forms import BeginExpr, RequireStmt
+from ambit.forms import RequireStmt
 from ambit.values import (
     BY_IDENTITY, NIL, VOID, Pair, Primitive, equal, eqv, list_from,
     to_pylist,
@@ -129,7 +129,7 @@ def programs(draw):
 
 @contextmanager
 def hot_after(entries):
-    """Compile a lambda's inline trees on its `entries`-th closure entry."""
+    """Compile a lambda's body on its `entries`-th closure entry."""
     saved = ambit.machine._HOT_ENTRIES
     ambit.machine._HOT_ENTRIES = entries
     try:
@@ -141,8 +141,8 @@ def hot_after(entries):
 def run_program(forms, wrapped, hot=False):
     """(solutions, printed output, error label or None) of exhausting the
     last form; with `wrapped`, every primitive the program names is first
-    rebound to a closure that applies it; with `hot`, every lambda's inline
-    trees are compiled on its first entry."""
+    rebound to a closure that applies it; with `hot`, every lambda's body is
+    compiled on its first entry."""
     if hot:
         with hot_after(1):
             return run_program(forms, wrapped)
@@ -262,7 +262,7 @@ def test_reentering_a_continuation_among_operands_keeps_the_values(machine):
     assert write_value(ev(machine, "r")) == "(1 0 6 3)"
 
 
-# --- compiled inline trees ---------------------------------------------------
+# --- inline trees in compiled bodies -----------------------------------------
 
 
 @pytest.fixture
@@ -272,10 +272,8 @@ def hot():
 
 
 def compiled(node):
-    """Whether `node` runs its body, or computes its tree, through compiled
-    code."""
-    method = type(node).run if isinstance(node, BeginExpr) else type(node).val
-    return method.__code__.co_filename == "<fused>"
+    """Whether `node` is a body compiled whole."""
+    return type(node).run.__code__.co_filename == "<fused>"
 
 
 def compiled_body(machine, name):
@@ -327,21 +325,21 @@ def test_rebinding_an_operator_after_its_tree_is_compiled(
     assert ev(machine, call) == after
 
 
-@pytest.mark.parametrize("program, label, frames, root", [
+@pytest.mark.parametrize("program, label, frames, lam", [
     # `early`'s init reads `late`'s slot before its define has run
     ("(define f (lambda (n) (define early (+ late 1)) (define late n) "
      "early))", "UnboundVariable: late", ["outer", "f"],
-     lambda m: body(m, "f")[0].expr),
+     lambda m: m.globals[intern("f")].lam),
     # the same slot one frame out, and then a global never defined
     ("(define f (lambda (n) (define g (lambda () (* 2 (+ late 1)))) "
      "(define early (g)) (define late n) early))", "UnboundVariable: late",
-     ["outer", "f", "g"], lambda m: body(m, "f")[0].expr.body[0]),
+     ["outer", "f", "g"], lambda m: body(m, "f")[0].expr),
     ("(define f (lambda (n) (+ n (- nowhere 1))))",
      "UnboundVariable: nowhere", ["outer", "f"],
-     lambda m: m.globals[intern("f")].lam.body[0]),
+     lambda m: m.globals[intern("f")].lam),
 ])
 def test_an_unbound_read_in_a_compiled_tree_keeps_message_and_frames(
-        program, label, frames, root):
+        program, label, frames, lam):
     def error(machine):
         ev(machine, program)
         ev(machine, "(define outer (lambda (n) (list (f n))))")
@@ -356,7 +354,8 @@ def test_an_unbound_read_in_a_compiled_tree_keeps_message_and_frames(
     assert fused[0] == stepped[0] == label
     assert fused[1] == stepped[1]
     assert [frame[0] for frame in fused[1]] == frames
-    assert compiled(root(fused[2]))
+    # the body of the lambda that reads the variable
+    assert compiled(lam(fused[2]).body[0])
 
 
 def test_a_nested_require_in_a_compiled_tree_backtracks(machine, hot):
@@ -374,7 +373,6 @@ def test_compiled_roots_in_tail_test_and_alternative_positions(machine, hot):
     assert ev(machine, "(f '())") is intern("none")
     assert ev(machine, "(g 3)") == 12
     assert compiled_body(machine, "f") and compiled_body(machine, "g")
-    assert all(compiled(alt) for alt in body(machine, "f")[0].alt.exprs)
 
 
 def test_a_compiled_tree_calls_the_primitive_fn_current_at_the_call(
@@ -431,6 +429,21 @@ def test_a_stepped_call_rebinding_plus_inside_a_compiled_body(f):
          f"(define f {f})", "(f 5)"], "(begin (set! + plus) (f 5))")
     assert values == ["4"]
     assert compiled_body(machine, "f")
+
+
+def test_inline_trees_after_a_stepped_subform_take_the_stepped_path():
+    # a body `define` first, a choose as an `if` alternative, and the
+    # recursive call after a stepped operand, as in `map`
+    values, machine = compiled_and_stepped(
+        ["(define g (lambda (x) (display x) x))",
+         "(define f (lambda (x) (define y (g x)) (+ y 1)))",
+         "(define h (lambda (xs) "
+         "(if (null? xs) 'none (choose (car xs) (cadr xs)))))",
+         "(define m (lambda (l) "
+         "(if (null? l) '() (cons (f (car l)) (m (cdr l))))))"],
+        "(list (f 1) (h '(2 3)) (h '()) (m '(4 5 6)))")
+    assert values == ["(2 2 none (5 6 7))", "(2 3 none (5 6 7))"]
+    assert all(compiled_body(machine, name) for name in "fhm")
 
 
 def test_a_continuation_captured_in_a_compiled_body_is_reentered():

@@ -197,6 +197,22 @@ def test_equality_predicates(machine):
     assert ev(machine, '(equal? "ab" "ab")') is True
 
 
+def test_equal_ends_on_circular_vectors(machine):
+    # each vector holds itself
+    ev(machine, "(define v (vector 1)) (define w (vector 1)) "
+                "(vector-set! v 0 v) (vector-set! w 0 w)")
+    assert ev(machine, "(equal? v w)") is True
+    # the same, but for one element
+    ev(machine, "(define a (vector 0 1)) (define b (vector 0 2)) "
+                "(vector-set! a 0 a) (vector-set! b 0 b)")
+    assert ev(machine, "(equal? a b)") is False
+    # a cycle of one vector against a cycle of two
+    ev(machine, "(define p (vector 0)) (define q (vector 0)) "
+                "(define r (vector 0)) (vector-set! p 0 p) "
+                "(vector-set! q 0 r) (vector-set! r 0 q)")
+    assert ev(machine, "(equal? p q)") is True
+
+
 def test_eq_implies_eqv_implies_equal(machine):
     samples = ["'a", "1", "1.5", '"s"', "'(1 2)", "#t", "#(1)", "'()"]
     for a in samples:
@@ -271,6 +287,17 @@ def test_string_operations(machine):
     assert ev(machine, '(string->number "42")') == 42
     assert ev(machine, '(string->number "1.5")') == 1.5
     assert ev(machine, '(string->number "nope")') is False
+
+
+def test_infinities_and_nan_are_written_as_r7rs_spells_them(machine):
+    assert ev(machine, "(number->string (/ 1.0 0))") == "+inf.0"
+    assert ev(machine, "(number->string (/ -1.0 0))") == "-inf.0"
+    assert ev(machine, "(number->string (/ 0.0 0))") == "+nan.0"
+    assert ev(machine, "(string->number (number->string (/ 1.0 0)))") \
+        == math.inf
+    assert ev(machine, '(string->number "-inf.0")') == -math.inf
+    assert math.isnan(ev(machine, '(string->number "+nan.0")'))
+    assert ev(machine, '(string->number "inf")') is False
 
 
 # --- output ----------------------------------------------------------------

@@ -12,8 +12,8 @@ from ambit import Machine, equal, intern, read_all, write_value
 from ambit.errors import FormError, MacroError
 from ambit.forms import (
     AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
-    LambdaExpr, Literal, LocalRef0, LocalRef1, PrimApp1, PrimApp2, PrimAppN,
-    PrimCall, QuoteExpr, RequireStmt, VarRef, parse_core,
+    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, PrimCall, QuoteExpr,
+    RequireStmt, VarRef, parse_core,
 )
 from ambit.syntax import (
     MacroClause, define_macro, expand, instantiate, match_pattern,
@@ -371,18 +371,25 @@ def core_of(text):
     return parse_core(datum(text), machine.macros, "<test>", machine.globals)
 
 
+def address(node):
+    """A reference's class, and its (depth, index) when it is local."""
+    if type(node) is GlobalRef:
+        return GlobalRef
+    return type(node), node.depth, node.index
+
+
 def test_references_are_classed_by_depth():
     core = core_of("(lambda (a) (lambda (b) (lambda (c) (f a b c g))))")
     app = core.body[0].body[0].body[0]
-    assert [type(node) for node in (app.op,) + app.args] == [
-        GlobalRef, VarRef, LocalRef1, LocalRef0, GlobalRef]
+    assert [address(node) for node in (app.op,) + app.args] == [
+        GlobalRef, (VarRef, 2, 1), (VarRef, 1, 1), (VarRef, 0, 1), GlobalRef]
     # a body define's slot is local too
     core = core_of("(lambda () (define d 1) d)")
-    assert type(core.body[1]) is LocalRef0
+    assert address(core.body[1]) == (VarRef, 0, 1)
     # without the global table, references are still classed
     core = parse_core(datum("(lambda (a) (+ a b))"), {})
-    assert [type(node) for node in (core.body[0].op,) + core.body[0].args] \
-        == [GlobalRef, LocalRef0, GlobalRef]
+    assert [address(node) for node in (core.body[0].op,) + core.body[0].args] \
+        == [GlobalRef, (VarRef, 0, 1), GlobalRef]
     assert type(core.body[0]) is AppExpr
 
 
@@ -425,4 +432,5 @@ def test_require_in_a_body_before_its_last_form_is_a_statement():
     assert type(core.body[1].then.body[0]) is RequireStmt
     let_body = core.body[2].op.body
     assert [type(node) for node in let_body] == [
-        RequireStmt, PrimCall, LocalRef0]
+        RequireStmt, PrimCall, VarRef]
+    assert (let_body[2].depth, let_body[2].index) == (0, 1)
