@@ -18,11 +18,11 @@ all after it is left to the stepped path.
 from .errors import EvalError
 from .forms import (
     _INLINE, AppExpr, BeginExpr, IfExpr, LambdaExpr, Literal, PrimAppN,
-    PrimCall, QuoteExpr, RequireStmt, VarRef,
+    PrimCall, RequireStmt, VarRef,
 )
 from .machine import (
-    _FAIL, _NO_ALT, _run_body, apply_cont, apply_proc, cont_begin,
-    cont_operand, invoke_fail,
+    _FAIL, _run_body, apply_cont, apply_proc, cont_begin, cont_operand,
+    invoke_fail,
 )
 from .primitives import _SCAN
 from .values import BY_IDENTITY, NIL, UNASSIGNED, Closure, Pair
@@ -91,7 +91,7 @@ class _Code:
             if type(node) is LambdaExpr:
                 # made once, though a scan names its operands more than once
                 code.append(f"{pad}{temp} = Closure({self.name(node)}, env)")
-            elif isinstance(node, (Literal, QuoteExpr)):
+            elif type(node) is Literal:
                 temp = self.name(node.val(None, None))
             elif (type(node) is VarRef and node.depth == 0
                   and node.index <= self.params):
@@ -140,11 +140,12 @@ class _Code:
         is run toward it in turn."""
         code = self.lines
         while not isinstance(node, _INLINE) and depth < _NEST:
-            if type(node) is IfExpr and isinstance(node.test, _INLINE):
+            if (type(node) is IfExpr and isinstance(node.test, _INLINE)
+                    and node.then is not None):
                 code.append(f"{pad}if {self.value(node.test, pad)} "
                             "is not False:")
                 self.run(node.then, k, pad + "    ", depth + 1)
-                node = node.alt or _NO_ALT
+                node = node.alt
             elif type(node) is BeginExpr:
                 forms, node = node.body, node.body[-1]
                 for i, form in enumerate(forms[:-1]):

@@ -5,12 +5,15 @@ them, so evaluation never encounters a macro keyword or a malformed special
 form.  The one walk over a datum expands each macro use as it meets it: a
 form whose head names a macro is rewritten by `syntax.expand` before it is
 dispatched, so the expansion's subforms are expanded when the walk reaches
-them, and only in the positions this module parses as expressions.  `cond`
-is lowered into if/or/begin and the let family into lambda applications;
-`and` and `or` stay as nodes, to give the deciding value without a temporary.
+them, and only in the positions this module parses as expressions.  The
+derived forms are lowered to the core ones (R7RS 7.3): `and`, `or` and
+`cond` to chains of ifs, the let family to lambda applications.  `(and a
+b)` is `(if a b #f)`, as the paper's `and` macro gives it; `(or a b)` is an
+`IfExpr` with no `then`, which gives its test's value when that is not #f,
+so the deciding value needs no temporary.  A quoted datum is a `Literal`.
 
-A quasiquote template is lowered to quotes and applications (R7RS 4.2.8):
-a constant part becomes one quote, so the constant tail after a list's last
+A quasiquote template is lowered to literals and applications (R7RS 4.2.8):
+a constant part becomes one literal, so the constant tail after a list's last
 dynamic item is shared by every evaluation, and each list or vector level
 with a dynamic part becomes one application whose operands are the level's
 items (then the tail, for a list), evaluated left to right like any other
@@ -66,14 +69,10 @@ class VarRef:
         self.index = None
 
 
-class QuoteExpr:
-    __slots__ = ("datum",)
-
-    def __init__(self, datum):
-        self.datum = datum
-
-
 class IfExpr:
+    """`then` is None for an `or`: a test that is not #f is the value.  A
+    one-armed `if` has the shared `Literal(VOID)` as its `alt`."""
+
     __slots__ = ("test", "then", "alt")
 
     def __init__(self, test, then, alt):
@@ -141,27 +140,6 @@ class AppExpr:
         self.prim = None
 
 
-class AndExpr:
-    __slots__ = ("exprs",)
-
-    def __init__(self, exprs):
-        self.exprs = exprs
-
-
-class OrExpr:
-    __slots__ = ("exprs",)
-
-    def __init__(self, exprs):
-        self.exprs = exprs
-
-
-class CallccExpr:
-    __slots__ = ("expr",)
-
-    def __init__(self, expr):
-        self.expr = expr
-
-
 class ChooseExpr:
     __slots__ = ("exprs",)
 
@@ -181,6 +159,9 @@ PrimApp2 = _node_class("PrimApp2", PrimAppN)
 RequireStmt = _node_class("RequireStmt", PrimApp1)
 PrimCall = _node_class("PrimCall", AppExpr)
 
+# `(begin)`, a one-armed `if`'s `alt` and the end of a `cond`'s chain of ifs
+_VOID = Literal(VOID)
+
 
 _S_QUOTE = intern("quote")
 _S_QUASIQUOTE = intern("quasiquote")
@@ -199,8 +180,6 @@ _S_LET = intern("let")
 _S_LET_STAR = intern("let*")
 _S_LETREC = intern("letrec")
 _S_ELSE = intern("else")
-_S_CALLCC = intern("call/cc")
-_S_CALLCC_LONG = intern("call-with-current-continuation")
 _S_CHOOSE = intern("choose")
 _S_DEFINE_SYNTAX = intern("define-syntax")
 
@@ -309,7 +288,7 @@ def parse_core(form, macros, source="<input>", global_table=None):
 
 
 # the operands with no observable evaluation steps, computed inline
-_INLINE = (VarRef, Literal, QuoteExpr, LambdaExpr, PrimAppN)
+_INLINE = (VarRef, Literal, LambdaExpr, PrimAppN)
 _PRIM_APPS = {1: PrimApp1, 2: PrimApp2}
 
 
@@ -340,7 +319,7 @@ def _parse_pair(form, scope):
         if head is _S_QUOTE:
             if len(items) != 2:
                 raise _bad(form, "malformed quote")
-            return QuoteExpr(items[1])
+            return Literal(items[1])
         if head is _S_QUASIQUOTE:
             if len(items) != 2:
                 raise _bad(form, "malformed quasiquote")
@@ -350,7 +329,7 @@ def _parse_pair(form, scope):
         if head is _S_IF:
             if len(items) not in (3, 4):
                 raise _bad(form, "malformed if")
-            alt = _parse(items[3], scope) if len(items) == 4 else None
+            alt = _parse(items[3], scope) if len(items) == 4 else _VOID
             return IfExpr(_parse(items[1], scope), _parse(items[2], scope),
                           alt)
         if head is _S_DEFINE or head is _S_DEFINE_BANG:
@@ -372,22 +351,16 @@ def _parse_pair(form, scope):
                                  [_parse(b, inner) for b in items[2:]])
         if head is _S_BEGIN:
             if len(items) == 1:
-                return Literal(VOID)
+                return _VOID
             if len(items) == 2:
                 return _parse(items[1], scope)
             return scope.begin(tuple(_parse(b, scope) for b in items[1:]))
-        if head is _S_AND:
-            return AndExpr(tuple(_parse(e, scope) for e in items[1:]))
-        if head is _S_OR:
-            return OrExpr(tuple(_parse(e, scope) for e in items[1:]))
+        if head is _S_AND or head is _S_OR:
+            return _parse_and_or(head, items[1:], scope)
         if head is _S_COND:
             return _parse_cond(form, items[1:], scope)
         if head is _S_LET or head is _S_LET_STAR or head is _S_LETREC:
             return _parse_let(form, items, scope)
-        if head is _S_CALLCC or head is _S_CALLCC_LONG:
-            if len(items) != 2:
-                raise _bad(form, f"malformed {head.name}")
-            return CallccExpr(_parse(items[1], scope))
         if head is _S_CHOOSE:
             return ChooseExpr(tuple(_parse(e, scope) for e in items[1:]))
         if head is _S_DEFINE_SYNTAX:
@@ -423,8 +396,20 @@ def _parse_params(form, params):
     return tuple(names), rest
 
 
+def _parse_and_or(head, exprs, scope):
+    """`(and a b c)` is `(if a (if b c #f) #f)` and `(or a b)` is `(if a
+    <a's value> b)`; `(and)` is #t and `(or)` #f."""
+    nodes = [_parse(e, scope) for e in exprs]
+    node = nodes.pop() if nodes else Literal(head is _S_AND)
+    while nodes:
+        test = nodes.pop()
+        node = (IfExpr(test, node, Literal(False)) if head is _S_AND
+                else IfExpr(test, None, node))
+    return node
+
+
 def _parse_cond(form, clauses, scope):
-    result = Literal(VOID)
+    result = _VOID
     for index in range(len(clauses) - 1, -1, -1):
         clause = clauses[index]
         items, tail = _spine(clause)
@@ -440,7 +425,7 @@ def _parse_cond(form, clauses, scope):
         test = _parse(items[0], scope)
         if len(items) == 1:
             # (test) keeps the test's value when it is truthy
-            result = OrExpr((test, result))
+            result = IfExpr(test, None, result)
         else:
             result = IfExpr(
                 test, scope.begin(tuple(_parse(e, scope) for e in items[1:])),
@@ -519,7 +504,7 @@ def _lower_qq(template, scope):
     """Lower a quasiquote template to a core form; returns (node, is_dynamic).
     Recurses once per nesting level of the template, never along a list."""
     if not isinstance(template, (Pair, list)):
-        return QuoteExpr(template), False
+        return Literal(template), False
     pairs = []
     tail = template
     if isinstance(template, list):
@@ -545,7 +530,7 @@ def _lower_qq(template, scope):
             dynamic_end = len(nodes)
     if isinstance(template, list):
         if not dynamic_end:
-            return QuoteExpr(template), False
+            return Literal(template), False
         return _app(_QQ_VECTOR, nodes), True
     head = tail.car if isinstance(tail, Pair) else None
     if head is _S_QUASIQUOTE:
@@ -557,12 +542,12 @@ def _lower_qq(template, scope):
             raise _bad(tail, "malformed unquote")
         tail = _parse(tail.cdr.car, scope)
     elif not dynamic_end:
-        return QuoteExpr(template), False
+        return Literal(template), False
     else:
         # the items after the last dynamic one stay in the shared datum
         if dynamic_end < len(pairs):
             tail = pairs[dynamic_end]
-        tail = QuoteExpr(tail)
+        tail = Literal(tail)
         del nodes[dynamic_end:]
     if not nodes:
         return tail, True

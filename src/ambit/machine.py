@@ -22,7 +22,9 @@ from the global table, and a `PrimApp1`, `PrimApp2` or `PrimAppN` calls its
 primitive inline, as a `PrimCall` does once its operands are in, while the
 operator's global still holds it.
 A `run` descends only into the subforms of its own form, and follows the
-chain of ifs a `cond` becomes in a loop.  Entering a closure body
+chain of ifs a `cond`, `and` or `or` becomes in a loop.  `call/cc` is a
+control primitive (see `primitives`), so there are nine core forms: the
+node classes of `forms`.  Entering a closure body
 (`apply_proc`), delivering to a continuation (`apply_cont`) and resuming a
 choice point (`invoke_fail`) only assign registers and return to the
 trampoline, so host call depth grows only with the nesting that
@@ -46,9 +48,9 @@ import sys
 from . import syntax
 from .errors import EvalError, SchemeError
 from .forms import (
-    AndExpr, AppExpr, BeginExpr, CallccExpr, ChooseExpr, DefineExpr,
-    GlobalRef, IfExpr, LambdaExpr, Literal, OrExpr, PrimApp1, PrimApp2,
-    PrimAppN, QuoteExpr, RequireStmt, SetExpr, VarRef, parse_core,
+    AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
+    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, RequireStmt, SetExpr,
+    VarRef, parse_core,
 )
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
@@ -222,12 +224,9 @@ VarRef.run = _deliver
 GlobalRef.val = _global_val
 Literal.val = lambda lit, m, env: lit.value
 Literal.run = lambda lit, m, env, k: apply_cont(m, k, lit.value)
-QuoteExpr.val = lambda quote, m, env: quote.datum
-QuoteExpr.run = lambda quote, m, env, k: apply_cont(m, k, quote.datum)
 LambdaExpr.val = lambda lam, m, env: Closure(lam, env)
 LambdaExpr.run = _deliver
-for _cls in (IfExpr, DefineExpr, SetExpr, BeginExpr, AndExpr, OrExpr,
-             CallccExpr, ChooseExpr, AppExpr):
+for _cls in (IfExpr, DefineExpr, SetExpr, BeginExpr, ChooseExpr, AppExpr):
     _cls.val = _step
 
 
@@ -334,19 +333,18 @@ def _eval_operands(m, proc, app, i, acc, env, k):
         apply_proc(m, proc, acc, k, app)
 
 
-# the branch an `if` without an alternative takes when its test is false
-_NO_ALT = Literal(VOID)
-
-
 def _if_run(exp, m, env, k):
-    """`parse_core` builds a `cond`'s clauses into a chain of ifs in a loop,
-    not by recursion, so the chain is followed in a loop too."""
+    """`parse_core` builds `cond`, `and` and `or` into chains of ifs in a
+    loop, not by recursion, so a chain is followed in a loop too."""
     while True:
         test = exp.test.val(m, env)
         if test is _STEP:
             exp.test.run(m, env, m.make_cont(cont_if, exp, env, k))
             return
-        exp = exp.then if test is not False else exp.alt or _NO_ALT
+        if test is not False and exp.then is None:
+            apply_cont(m, k, test)
+            return
+        exp = exp.alt if test is False else exp.then
         if type(exp) is not IfExpr:
             exp.run(m, env, k)
             return
@@ -357,8 +355,11 @@ IfExpr.run = _if_run
 
 def cont_if(m):
     exp, env, k = m.fields_reg
-    branch = exp.then if m.value_reg is not False else exp.alt or _NO_ALT
-    branch.run(m, env, k)
+    value = m.value_reg
+    if value is not False and exp.then is None:
+        apply_cont(m, k, value)
+    else:
+        (exp.alt if value is False else exp.then).run(m, env, k)
 
 
 def _define_run(exp, m, env, k):
@@ -448,59 +449,6 @@ BeginExpr.run = lambda exp, m, env, k: _run_body(m, exp.body, 0, env, k)
 def cont_begin(m):
     body, i, env, k = m.fields_reg
     _run_body(m, body, i, env, k)
-
-
-def _eval_and_or(m, exprs, env, k, cont_label, empty_value):
-    if not exprs:
-        apply_cont(m, k, empty_value)
-    elif len(exprs) == 1:
-        exprs[0].run(m, env, k)
-    else:
-        exprs[0].run(m, env, m.make_cont(cont_label, exprs, 1, env, k))
-
-
-AndExpr.run = lambda exp, m, env, k: _eval_and_or(m, exp.exprs, env, k,
-                                                  cont_and, True)
-OrExpr.run = lambda exp, m, env, k: _eval_and_or(m, exp.exprs, env, k,
-                                                 cont_or, False)
-
-
-def cont_and(m):
-    exprs, i, env, k = m.fields_reg
-    value = m.value_reg
-    if value is False:
-        apply_cont(m, k, value)
-    elif i == len(exprs) - 1:
-        exprs[i].run(m, env, k)
-    else:
-        exprs[i].run(m, env, m.make_cont(cont_and, exprs, i + 1, env, k))
-
-
-def cont_or(m):
-    exprs, i, env, k = m.fields_reg
-    value = m.value_reg
-    if value is not False:
-        apply_cont(m, k, value)
-    elif i == len(exprs) - 1:
-        exprs[i].run(m, env, k)
-    else:
-        exprs[i].run(m, env, m.make_cont(cont_or, exprs, i + 1, env, k))
-
-
-def _callcc_run(exp, m, env, k):
-    proc = exp.expr.val(m, env)
-    if proc is _STEP:
-        exp.expr.run(m, env, m.make_cont(cont_callcc, k))
-    else:
-        apply_proc(m, proc, (k,), k)
-
-
-CallccExpr.run = _callcc_run
-
-
-def cont_callcc(m):
-    (k,) = m.fields_reg
-    apply_proc(m, m.value_reg, (k,), k)
 
 
 def _raise_arity(proc, na):

@@ -1,12 +1,12 @@
 """Built-in procedures plus the boot definitions evaluated at startup.
 
-Most primitives compute a value directly.  `apply` is the one control
-primitive: it receives the current continuation and steers the machine
-itself.  `require` is ordinary: on a false value it raises the machine's
-`Backtrack`, which the trampoline turns into a jump to the most recent
-choice point, so it may be computed inline like any pure primitive.  `map`
-and `for-each` are defined in Scheme at boot so they behave like ordinary
-closures, with real application frames and proper tail behavior.
+Most primitives compute a value directly.  `apply` and `call/cc` are the
+control primitives: they receive the current continuation and steer the
+machine themselves.  `require` is ordinary: on a false value it raises the
+machine's `Backtrack`, which the trampoline turns into a jump to the most
+recent choice point, so it may be computed inline like any pure primitive.
+`map` and `for-each` are defined in Scheme at boot so they behave like
+ordinary closures, with real application frames and proper tail behavior.
 """
 
 import math
@@ -583,6 +583,10 @@ def _prim_apply(m, args, k):
     apply_proc(m, proc, tuple(args[1:-1]) + tuple(spread), k)
 
 
+def _prim_callcc(m, args, k):
+    apply_proc(m, args[0], (k,), k)
+
+
 # --- misc ----------------------------------------------------------------
 
 
@@ -664,6 +668,8 @@ _PRIMITIVE_SPECS = [
     ("error", _prim_error, 2, None, False),
     ("require", _prim_require, 1, 1, False),
     ("apply", _prim_apply, 2, None, True),
+    ("call/cc", _prim_callcc, 1, 1, True),
+    ("call-with-current-continuation", _prim_callcc, 1, 1, True),
     ("void", _prim_void, 0, None, False),
     ("use-stack-trace", _prim_use_stack_trace, 1, 1, False),
 ]

@@ -26,7 +26,8 @@ from .values import INT64_MAX, INT64_MIN, NIL, Pair, SourcePair, intern
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _REAL_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?\Z")
 # the reals written without digits (R7RS 6.2.6)
-_INF_NAN = {"+inf.0": math.inf, "-inf.0": -math.inf, "+nan.0": math.nan}
+_INF_NAN = {"+inf.0": math.inf, "-inf.0": -math.inf, "+nan.0": math.nan,
+            "-nan.0": math.nan}
 
 
 class SourceDatum:

@@ -21,11 +21,11 @@ FUEL = 10_000
 
 # Structural core forms a macro may not shadow.  `and`, `or`, `cond` and the
 # let family are absent: they are expressible as macros, so user
-# definitions take precedence over the built-in forms.
+# definitions take precedence over the built-in forms.  `call/cc` is a
+# procedure, which a macro may shadow like any other global.
 RESERVED_NAMES = frozenset({
-    "quote", "quasiquote", "unquote", "unquote-splicing",
-    "if", "define", "define!", "set!", "lambda", "begin",
-    "call/cc", "call-with-current-continuation", "choose", "define-syntax",
+    "quote", "quasiquote", "unquote", "unquote-splicing", "if", "define",
+    "define!", "set!", "lambda", "begin", "choose", "define-syntax",
 })
 
 _S_DEFINE_SYNTAX = intern("define-syntax")

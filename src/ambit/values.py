@@ -70,7 +70,6 @@ class _Unique:
 
 NIL = _Unique("()")
 VOID = _Unique("#<void>")
-EOF_OBJECT = _Unique("#<eof>")
 
 # Terminal element of the fail-continuation chain.
 TERMINAL_FAIL = _Unique("#<terminal-fail>")

@@ -86,9 +86,13 @@ def _int(draw, names, depth, helper):
 
 def _bool(draw, names, depth, helper):
     kind = draw(st.sampled_from(["lit", "<", "=", "not", "member", "memq",
-                                 "symbols"]))
+                                 "symbols", "and", "or"]))
     if kind == "lit":
         return draw(st.sampled_from(["#t", "#f"]))
+    if kind in ("and", "or"):
+        parts = [_bool(draw, names, max(depth - 1, 0), helper)
+                 for _ in range(draw(st.integers(0, 3)))]
+        return f"({kind} {' '.join(parts)})"
     if kind == "not":
         return f"(not {_bool(draw, names, max(depth - 1, 0), helper)})"
     if kind == "symbols":

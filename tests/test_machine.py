@@ -147,6 +147,35 @@ def test_and_or_native_semantics(machine):
     assert ev(machine, "hits") == 1
 
 
+@pytest.mark.parametrize("text, value", [
+    ("(and 1 2)", 2), ("(or #f 2)", 2), ("(cond (#f 1) (3))", 3)])
+def test_inline_and_or_make_no_continuation(machine, text, value):
+    before = machine.cont_allocations
+    assert ev(machine, text) == value
+    assert machine.cont_allocations == before
+
+
+def test_last_operand_of_and_or_is_in_tail_position(machine):
+    ev(machine, "(define a (lambda (n) (and (> n -1) (if (= n 0) 'a "
+                "(a (- n 1))))))")
+    ev(machine, "(define o (lambda (n) (or (= n 0) (o (- n 1)))))")
+
+    def allocations(call):
+        before = machine.cont_allocations
+        ev(machine, call)
+        return machine.cont_allocations - before
+
+    assert allocations("(a 10)") == allocations("(a 5000)") == 0
+    assert allocations("(o 10)") == allocations("(o 5000)") == 0
+
+
+def test_long_and_or_chains(machine):
+    # lowered to ifs nested 3000 deep, which are parsed and run in loops
+    assert ev(machine, "(and " + "1 " * 3000 + "2)") == 2
+    assert ev(machine, "(or " + "#f " * 3000 + "7)") == 7
+    assert ev(machine, "(and " + "1 " * 3000 + "#f 2)") is False
+
+
 def test_cond_clauses(machine):
     assert ev(machine, "(cond (#f 1) (#t 2) (else 3))") == 2
     assert ev(machine, "(cond (#f 1) (else 3))") == 3
@@ -314,6 +343,26 @@ def test_continuation_is_a_procedure(machine):
 def test_continuation_arity(machine):
     with pytest.raises(EvalError):
         ev(machine, "(call/cc (lambda (k) (k 1 2)))")
+
+
+def test_callcc_is_a_procedure(machine):
+    assert ev(machine, "(procedure? call/cc)") is True
+    assert write_value(ev(machine, "(map call/cc (list (lambda (k) 1) "
+                                   "(lambda (k) (k 2))))")) == "(1 2)"
+    assert ev(machine, "(apply call-with-current-continuation "
+                       "(list (lambda (k) (k 3))))") == 3
+
+
+def test_callcc_without_an_operand_is_an_arity_error(machine):
+    with pytest.raises(EvalError) as excinfo:
+        ev(machine, "(call/cc)")
+    assert excinfo.value.error_line() == (
+        "ArityError: call/cc: expected 1 argument(s), got 0")
+
+
+def test_a_macro_may_take_the_name_callcc(machine):
+    ev(machine, "(define-syntax call/cc [(call/cc ?x) (list ?x ?x)])")
+    assert write_value(ev(machine, "(call/cc 1)")) == "(1 1)"
 
 
 def test_machine_isolation():

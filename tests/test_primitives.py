@@ -300,6 +300,12 @@ def test_infinities_and_nan_are_written_as_r7rs_spells_them(machine):
     assert ev(machine, '(string->number "inf")') is False
 
 
+def test_minus_nan_is_read_as_a_nan(machine):
+    assert ev(machine, '(let ((x (string->number "-nan.0"))) '
+                       '(not (= x x)))') is True
+    assert math.isnan(ev(machine, "(quote -nan.0)"))
+
+
 # --- output ----------------------------------------------------------------
 
 

@@ -8,12 +8,12 @@ from helpers import (
     AND_OR_MACROS, BOOT_LET_MACROS, LET_HELPER_MACROS, exhaust_choices,
 )
 
-from ambit import Machine, equal, intern, read_all, write_value
+from ambit import Machine, Pair, Symbol, equal, intern, read_all, write_value
 from ambit.errors import FormError, MacroError
 from ambit.forms import (
     AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
-    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, PrimCall, QuoteExpr,
-    RequireStmt, VarRef, parse_core,
+    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, PrimCall, RequireStmt,
+    VarRef, parse_core,
 )
 from ambit.syntax import (
     MacroClause, define_macro, expand, instantiate, match_pattern,
@@ -41,9 +41,11 @@ def show(core):
     if isinstance(core, VarRef):
         return core.name.name
     if isinstance(core, Literal):
-        return write_value(core.value)
-    if isinstance(core, QuoteExpr):
-        return f"(quote {write_value(core.datum)})"
+        text = write_value(core.value)
+        return (f"(quote {text})" if isinstance(core.value, (Symbol, Pair))
+                else text)
+    if isinstance(core, IfExpr) and core.then is None:
+        return f"(or {show(core.test)} {show(core.alt)})"
     if isinstance(core, IfExpr):
         parts = [core.test, core.then] + ([core.alt] if core.alt else [])
         return "(if " + " ".join(map(show, parts)) + ")"
@@ -213,7 +215,7 @@ def test_expand_quote_is_opaque():
     table = table_with(AND_OR_MACROS)
     form = datum("(quote (or a b))")
     core = parse_core(form, table)
-    assert type(core) is QuoteExpr and core.datum is form.cdr.car
+    assert type(core) is Literal and core.value is form.cdr.car
 
 
 def test_expand_inside_quasiquote_only_under_unquote():
@@ -361,6 +363,39 @@ def test_letrec_lowering_runs_like_the_reference_macros(text):
         values = [write_value(v) for v in exhaust_choices(machine, text)]
         runs.append((values, machine.stdout.getvalue()))
     assert runs[0] == runs[1]
+
+
+# --- the built-in and against the reference macro ---------------------------
+
+
+def _and_expr(draw, depth):
+    """An expression of `and`s, with `or`s, applications and quotes."""
+    kinds = ["var", "int", "quote"] + ["and", "or", "app"] * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "var":
+        return draw(st.sampled_from("abc"))
+    if kind == "int":
+        return str(draw(st.integers(0, 9)))
+    if kind == "quote":
+        return draw(st.sampled_from(["'x", "'(x 1)", "'#(1)"]))
+    # the reference macro has no clause for (and)
+    count = draw(st.integers(kind == "and", 4))
+    parts = [_and_expr(draw, depth - 1) for _ in range(count)]
+    return f"({'f' if kind == 'app' else kind} {' '.join(parts)})"
+
+
+@st.composite
+def and_programs(draw):
+    return _and_expr(draw, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(and_programs())
+def test_and_lowering_matches_the_reference_macro(text):
+    form = datum(text)
+    reference = table_with(AND_OR_MACROS)
+    del reference[intern("or")]
+    assert show(parse_core(form, {})) == show(parse_core(form, reference))
 
 
 # --- the node class parse_core picks -----------------------------------------

@@ -55,6 +55,25 @@ def test_self_referential_vector_hits_depth_cap():
     assert "#<too-deep>" in text
 
 
+def test_deep_data_is_written_so_that_it_reads_back():
+    # 5,000 levels, far past the host's recursion limit
+    nested_list, nested_vector = 0, 0
+    for _ in range(5000):
+        nested_list = scheme_list(nested_list)
+        nested_vector = [Pair(1, 2), nested_vector]
+    for value in (nested_list, nested_vector):
+        text = write_value(value)
+        assert "#<too-deep>" not in text
+        assert equal(read_all(text)[0].value, value)
+
+
+def test_only_a_vector_inside_itself_is_cut_short(machine):
+    shared = [1]
+    assert write_value(scheme_list(shared, [shared])) == "(#(1) #(#(1)))"
+    machine.eval_source("(define v (vector 1)) (vector-set! v 0 (list v 2))")
+    assert write_value(machine.eval_source("v")) == "#((#<too-deep> 2))"
+
+
 def test_roundtrip_unit_sample():
     rng = random.Random(7)
     for _ in range(200):
