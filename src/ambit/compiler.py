@@ -1,17 +1,22 @@
-"""The compiler of hot lambdas: a body to one registerised Python function.
+"""The compiler of hot code to registerised Python: what the machine's
+handlers would step through, written out.
 
-Once a lambda's closures have been entered `machine._HOT_ENTRIES` times,
-`fuse` compiles its whole body to one Python `run`, the code the machine's
-handlers would step through for it, written out: it computes inline values,
-writing `not`, `null?` and `list` as Python expressions
-(`Primitive.inline`) and `(member x (list …))` as a scan of the operands
-that builds no list unless one matches (`primitives._SCAN`), assigns
-registers, makes the continuations the stepped path makes, and returns to
-the trampoline as soon as it starts a subform that needs the machine, so
-host depth stays constant.  It checks every operator's global first and
-runs the stepped path if one has been rebound.  The check holds only up to
-the first stepped subform, which may run user code that rebinds one, so
-all after it is left to the stepped path.
+`fuse` compiles a lambda's body once its closures have been entered
+`machine._HOT_ENTRIES` times; `compile_site` compiles an application's
+return points (Appel 1992) once the stepped path has resumed its operand
+continuations that often.  Inline values are Python expressions: `not`,
+`null?`, `list` (`Primitive.inline`), a scan for `(member x (list …))`
+(`primitives._SCAN`), and `+ - = < >` on fixnums while the primitive keeps
+its `fn` (`primitives._FIXNUM`).  The continuations the stepped path makes
+get its fields and a handler written for their position, which runs the
+rest of the application, and which loops while a primitive's value goes to
+a continuation made at its own site.  A closure call hits a monomorphic
+inline cache (Deutsch & Schiffman 1984) for the compiled lambda of its arity
+it last met, else goes through `apply_proc`.  Each function returns to the
+trampoline as soon as it starts a subform that needs the machine, and first
+checks every operator's global, running the stepped path if one has been
+rebound; user code run by a stepped subform may rebind one, so a body's
+forms after it take the stepped path and a return point checks again.
 """
 
 # the compiled code reads this module's names, some imported only for it
@@ -21,16 +26,44 @@ from .forms import (
     PrimCall, RequireStmt, VarRef,
 )
 from .machine import (
-    _FAIL, _run_body, apply_cont, apply_proc, cont_begin, cont_operand,
-    invoke_fail,
+    _FAIL, _eval_operands, _run, _run_body, apply_cont,
+    apply_proc, cont_begin, invoke_fail,
 )
-from .primitives import _SCAN
-from .values import BY_IDENTITY, NIL, UNASSIGNED, Closure, Pair
+from .primitives import _FIXNUM, _SCAN
+from .values import (
+    BY_IDENTITY, INT64_MAX, INT64_MIN, NIL, UNASSIGNED, Closure, Cont, Pair,
+)
 
 # how deep compiled code nests (Python's parser allows 100 levels of
-# indentation) and its generator recurses; a subform past that runs through
-# its own `run`
-_NEST = 40
+# indentation) and its generator recurses, and the most operands written
+# out, since each return point unpacks those before it; past these a
+# subform runs through its own `run`
+_NEST, _WIDE = 40, 64
+
+
+# a closure call through the site's cache `lam`, which `_miss` fills
+_CALL = """if type({p}) is Closure and {p}.lam is {lam}:
+    frame = [{p}.env, {xs}]
+    if {lam}.defines: frame += [UNASSIGNED] * {lam}.defines
+    trace = m.trace
+    if trace.config.enabled:
+        parent = {k}.spine
+        depth = 1 if parent is None else parent[6] + 1
+        trace.spine = ({label}, ({xs}), {site}, parent, depth)
+        if depth > trace.high_water: trace.high_water = depth
+    m.exp_reg, m.env_reg, m.k_reg, m.pc = {lam}.body[0], frame, {k}, _run
+    return
+return _miss(m, {p}, ({xs}), {k}, {app}, globals(), {lam!r})"""
+# a return point's head, and that of one that loops, with the loop's end
+_RETURN = "    {fields} = m.fields_reg\n    v = m.value_reg\n"
+_LOOP = """    fields, v, trace = m.fields_reg, m.value_reg, m.trace
+    while True:
+        {fields} = fields
+"""
+_TURN = """if {k}.label is not {label}:
+    return apply_cont(m, {k}, {t})
+trace.spine = {k}.spine
+fields, v = {k}.fields, {t}"""
 
 
 def fuse(lam):
@@ -42,32 +75,98 @@ def fuse(lam):
     # a body that is one form handed to its own `run` gains nothing
     if len(code.lines) == 1 and code.lines[0].endswith(".run(m, env, k)"):
         return
-    exec(compile(code.function("body(node, m, env, k)",
-                               "_run_body(m, node.body, 0, env, k)")
-                 + "".join(code.rets), "<fused>", "exec"), code.ns)
+    code.define("body(node, m, env, k)", "_run_body(m, node.body, 0, env, k)")
     lam.body = (type("BeginExpr", (BeginExpr,), {
         "__slots__": (), "run": code.ns["body"]})(lam.body),)
 
 
-class _Code:
-    """What `fuse` compiles: the lines and operator guards of a function and
-    the handlers of continuations made there.  The code reads this module's
-    names, and each datum it is handed under a made-up name in `ns`."""
+def compile_site(app):
+    """Give `app.site` the return point for each field `i` of a
+    `cont_operand` continuation, False where `parse_core` saw an inline
+    operand; None for an application too wide."""
+    if len(app.args) > _WIDE:
+        app.site = None
+        return
+    code = _Code(dict(globals()), None)
+    labels = [False, *(not isinstance(arg, _INLINE) and code.ret(app, i + 1)
+                       for i, arg in enumerate(app.args))]
+    code.define(None, None)
+    app.site = tuple(label and code.ns[label] for label in labels)
 
-    def __init__(self, ns, lam):
-        self.ns, self.lines, self.guards, self.rets = ns, [], {}, []
-        self.params = len(lam.params) + (lam.rest is not None)
+
+def _miss(m, proc, args, k, app, ns, cache):
+    """`apply_proc`, after which a compiled lambda taking exactly `args`,
+    with the one body form a hit enters, fills the site's cache."""
+    apply_proc(m, proc, args, k, app)
+    lam = proc.lam if type(proc) is Closure else None
+    if (lam and lam.entries is None and lam.rest is None
+            and len(lam.params) == len(args) and len(lam.body) == 1):
+        ns[cache] = lam
+
+
+class _Code:
+    """What is compiled: the lines and operator guards of a function.  The
+    functions of one compile share the return points named so far, with
+    those still to be written, and the namespace: the code reads this
+    module's names, and each datum it is handed under a made-up name."""
+
+    def __init__(self, ns, lam, root=None):
+        self.ns, self.lines, self.guards, self.ints = ns, [], {}, set()
+        self.params = lam and len(lam.params) + (lam.rest is not None) or 0
+        self.labels, self.todo = (
+            ({}, []) if root is None else (root.labels, root.todo))
 
     def name(self, value):
         self.ns[f"k{len(self.ns)}"] = value
         return f"k{len(self.ns) - 1}"
 
-    def function(self, head, fallback):
-        checks = " or ".join(f"get({self.name(s)}) is not {self.name(p)}"
-                             for s, p in self.guards) or "False"
-        return "".join([f"def {head}:\n    get = m.globals.get\n"
-                        f"    if {checks}:\n        return {fallback}\n",
+    def function(self, head, fallback, prologue="", pad="    ", checks=()):
+        checks = " or ".join([*checks, *(
+            f"get({self.name(s)}) is not {self.name(p)}"
+            for s, p in self.guards)])
+        body = "".join([prologue, f"{pad}if {checks}:\n{pad}    return "
+                        f"{fallback}\n" * bool(checks),
                         *(line + "\n" for line in self.lines)])
+        return (f"def {head}:\n" + "    get = m.globals.get\n" * (
+            "get(" in body) + body)
+
+    def define(self, head, fallback):
+        """Compile this function, unless `head` is None, and every return
+        point named, in one `compile()` call."""
+        sources = [self.function(head, fallback)] if head else []
+        while self.todo:
+            sources.append(self.handler(*self.todo.pop()))
+        exec(compile("".join(sources), "<fused>", "exec"), self.ns)
+
+    def ret(self, app, i):
+        """The label of the return point after `app`'s operand `i - 1`."""
+        label = self.labels.get((app, i))
+        if label is None:
+            label = self.labels[app, i] = f"r{len(self.labels)}"
+            self.todo.append((app, i, label))
+        return label
+
+    def handler(self, app, i, label):
+        """The source of return point `label`, after `app`'s operand `i - 1`;
+        a literal operand before it is known here."""
+        code = _Code(self.ns, None, self)
+        code.params = self.params
+        xs = [code.value(arg, "") if type(arg) is Literal else f"a{j}"
+              for j, arg in enumerate(app.args[:i - 1])]
+        loop = type(app) is PrimCall and all(
+            isinstance(arg, _INLINE) for arg in app.args[i:])
+        pad = "        " if loop else "    "
+        step = code.operands(app, "proc", i, [*xs, "v"], "k", pad,
+                             loop and label)
+        if step:
+            code.run(*step, pad, 0)
+        fields = "proc, app, i, ({}), env, k".format(
+            _items(x if x[0] == "a" else "_" for x in xs))
+        return code.function(
+            f"{label}(m)",
+            f"_eval_operands(m, proc, app, i, ({_items(xs)}v, ), env, k)",
+            (_LOOP if loop else _RETURN).format(fields=fields), pad,
+            [f"proc is not {self.name(app.prim)}"] * (type(app) is PrimCall))
 
     def value(self, root, pad):
         """Compute inline `root`, one temporary per node in the stepped
@@ -80,7 +179,7 @@ class _Code:
                 self.guards[node.op.name, node.prim] = None
                 args = node.args
                 lst = args[-1] if args else None
-                test = (isinstance(lst, PrimAppN) and len(lst.args) <= 64
+                test = (isinstance(lst, PrimAppN) and len(lst.args) <= _WIDE
                         and _SCAN.get((node.prim.name, lst.prim.name)))
                 if test:  # the list's operands stand in for the list
                     self.guards[lst.op.name, lst.prim] = None
@@ -93,6 +192,8 @@ class _Code:
                 code.append(f"{pad}{temp} = Closure({self.name(node)}, env)")
             elif type(node) is Literal:
                 temp = self.name(node.val(None, None))
+                if type(node.value) is int:
+                    self.ints.add(temp)
             elif (type(node) is VarRef and node.depth == 0
                   and node.index <= self.params):
                 temp = f"env[{node.index}]"  # a parameter is never unassigned
@@ -112,14 +213,32 @@ class _Code:
                     continue
                 if type(node) is RequireStmt:
                     value = f"_FAIL if {xs[0]} is False else {xs[0]}"
-                elif node.prim.inline and len(xs) <= 64:
+                elif node.prim.inline and len(xs) <= _WIDE:
                     # a longer chain of nested calls could strain the compiler
                     value = node.prim.inline(xs)
                 else:
-                    value = f"{self.name(node.prim)}.fn(m, ({_items(xs)}))"
+                    value = self.apply(node.prim, xs, temp)
                 code.append(f"{pad}{temp} = {value}")
             results.append(temp)
         return results[0]
+
+    def apply(self, prim, xs, temp):
+        """The expression of `prim.fn` on `xs`; `+ - = < >` on two fixnums
+        is the Python operator while `fn` is the one `_FIXNUM` names, and a
+        sum or difference is checked into `temp` for an overflow."""
+        p = self.name(prim)
+        call = f"{p}.fn(m, ({_items(xs)}))"
+        op = _FIXNUM.get(prim.fn) if len(xs) == 2 else None
+        if op is None:
+            return call
+        test = " and ".join([*(f"type({x}) is int" for x in xs
+                               if x not in self.ints),
+                             f"{p}.fn is {self.name(prim.fn)}"])
+        value = f"{xs[0]} {op} {xs[1]}"
+        if op in "+-":
+            value = (f"({temp} if {INT64_MIN} <= ({temp} := {value}) <= "
+                     f"{INT64_MAX} else {call})")
+        return f"{value} if {test} else {call}"
 
     def scan(self, node, test, xs, pad):
         """Write `node` as the scan `_SCAN` gives it, of target `xs[0]` over
@@ -160,37 +279,17 @@ class _Code:
                                     " is False: return invoke_fail(m)")
                     else:
                         self.value(form, pad)
-            elif isinstance(node, AppExpr) and isinstance(node.op, _INLINE):
-                primcall, app, xs = type(node) is PrimCall, self.name(node), []
-                if primcall:
+            elif (isinstance(node, AppExpr) and isinstance(node.op, _INLINE)
+                  and len(node.args) <= _WIDE):
+                if type(node) is PrimCall:
                     self.guards[node.op.name, node.prim] = None
                     proc = self.name(node.prim)
                 else:
                     proc = self.value(node.op, pad)
-                for i, arg in enumerate(node.args):
-                    if isinstance(arg, _INLINE):
-                        xs.append(self.value(arg, pad))
-                        continue
-                    if primcall and i == len(node.args) - 1:
-                        # the primitive's last operand: the handler calls it
-                        ys = _items(f"a{j}" for j in range(len(xs)))
-                        label = f"ret{len(self.rets)}"
-                        self.rets.append(
-                            f"def {label}(m):\n    {ys}k, = m.fields_reg\n"
-                            f"    apply_cont(m, k, {proc}.fn(m, ({ys}"
-                            "m.value_reg, )))\n")
-                        k = self.cont(pad, label, *xs, k)
-                    else:
-                        k = self.cont(pad, "cont_operand", proc, app, i + 1,
-                                      f"({_items(xs)})", "env", k)
-                    node = arg
-                    break
-                else:
-                    return code.append(
-                        f"{pad}return apply_cont(m, {k}, "
-                        f"{proc}.fn(m, ({_items(xs)})))" if primcall else
-                        f"{pad}return apply_proc(m, {proc}, ({_items(xs)}), "
-                        f"{k}, {app})")
+                step = self.operands(node, proc, 0, [], k, pad)
+                if not step:
+                    return
+                node, k = step
             else:
                 break
         if isinstance(node, _INLINE):
@@ -199,13 +298,42 @@ class _Code:
         else:
             code.append(f"{pad}return {self.name(node)}.run(m, env, {k})")
 
+    def operands(self, app, proc, i, xs, k, pad, loop=None):
+        """Compute `app`'s operands from `i` on after the values `xs` and
+        apply `proc` to them toward `k`; gives the first stepped operand and
+        the continuation made for it, or None once the call is written.  A
+        primitive's value goes to `k`, or to the next turn of the loop of
+        return point `loop` if `k` was made at its site."""
+        code = self.lines
+        for j, arg in enumerate(app.args[i:], i):
+            if not isinstance(arg, _INLINE):
+                return arg, self.cont(pad, self.ret(app, j + 1), proc,
+                                      self.name(app), j + 1,
+                                      f"({_items(xs)})", "env", k)
+            xs.append(self.value(arg, pad))
+        temp = f"t{len(code)}"
+        if type(app) is PrimCall:
+            code.append(f"{pad}{temp} = {self.apply(app.prim, xs, temp)}")
+            end = (_TURN.format(k=k, label=loop, t=temp) if loop else
+                   f"return apply_cont(m, {k}, {temp})")
+        else:
+            end = _CALL.format(
+                p=proc, lam=self.name(None), xs=_items(xs), k=k,
+                app=self.name(app), site=f"{app.line}, {app.col}, "
+                f"{app.source!r}", label=repr(app.op_name) if app.op_name
+                else f"'#<procedure>' if {proc}.name is None "
+                f"else {proc}.name.name")
+        code += [pad + line for line in end.split("\n")]
+        return None
+
     def cont(self, pad, label, *fields):
+        """What `Machine.make_cont` does, written out."""
         temp = f"c{len(self.lines)}"
-        self.lines.append(f"{pad}{temp} = m.make_cont({label}, "
-                          f"{_items(map(str, fields))})")
+        self.lines += [f"{pad}m.cont_allocations += 1",
+                       f"{pad}{temp} = Cont({label}, "
+                       f"({_items(map(str, fields))}), m.trace.spine)"]
         return temp
 
 
 def _items(xs):
     return "".join(x + ", " for x in xs)
-

@@ -126,9 +126,12 @@ class BeginExpr:
 
 class AppExpr:
     """`prim` is the ordinary primitive the operator's global held, with a
-    fitting arity, when the form was parsed; else None."""
+    fitting arity, when the form was parsed; else None.  `site` counts the
+    machine's resumptions of its operand continuations, and holds their
+    compiled handlers once there have been enough (see `machine`)."""
 
-    __slots__ = ("op", "args", "op_name", "line", "col", "source", "prim")
+    __slots__ = ("op", "args", "op_name", "line", "col", "source", "prim",
+                 "site")
 
     def __init__(self, op, args, op_name, line, col, source):
         self.op = op
@@ -138,6 +141,7 @@ class AppExpr:
         self.col = col
         self.source = source
         self.prim = None
+        self.site = 0
 
 
 class ChooseExpr:

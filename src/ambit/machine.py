@@ -33,7 +33,9 @@ program recurses.  A body's forms run in one loop that makes a continuation
 only for a form that needs the machine.
 
 Once a lambda's closures have been entered `_HOT_ENTRIES` times, its body
-is compiled to Python (see `compiler`); a form run once never compiles.
+is compiled to Python (see `compiler`), as are an application's return
+points once its operand continuations have been resumed that often; a form
+run once never compiles.
 
 `require` is an ordinary primitive: on a false value it raises `Backtrack`,
 which unwinds whatever handler was computing it to the trampoline, and the
@@ -302,7 +304,19 @@ def cont_operator(m):
 
 
 def cont_operand(m):
+    """Resume `app` after its stepped operand `i - 1`.  `app.site` counts
+    these resumptions up to `_HOT_ENTRIES`, then holds the return points
+    compiled for each `i` (see `compiler`), or None if it never will."""
     proc, app, i, acc, env, k = m.fields_reg
+    site = app.site
+    if type(site) is int:
+        app.site = site + 1
+        if site + 1 >= _HOT_ENTRIES:
+            from .compiler import compile_site
+            compile_site(app)
+    elif site is not None and site[i]:
+        site[i](m)
+        return
     _eval_operands(m, proc, app, i, acc + (m.value_reg,), env, k)
 
 
@@ -569,7 +583,8 @@ ChooseExpr.run = _choose_run
 
 
 def invoke_fail(m):
-    """Backtrack to the most recent unexhausted choice point.
+    """Backtrack to the most recent unexhausted choice point; a literal
+    alternative goes straight to the choice point's continuation.
 
     At the bottom of the chain the computation ends by delivering the string
     "no more choices" to the halt continuation.
@@ -585,7 +600,11 @@ def invoke_fail(m):
                   ChoicePoint(alternatives, index, f.env, f.k, f.parent,
                               f.spine))
     m.trace.restore(f.spine)
-    m.exp_reg = alternatives[index - 1]
+    alternative = alternatives[index - 1]
+    if type(alternative) is Literal:
+        apply_cont(m, f.k, alternative.value)
+        return
+    m.exp_reg = alternative
     m.env_reg = f.env
     m.k_reg = f.k
     m.pc = _run

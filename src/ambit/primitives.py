@@ -46,6 +46,8 @@ def install_primitives(table):
             name, fn, min_args, max_args, control=control,
             pure=not control and name not in _IMPURE,
             inline=_INLINE.get(name))
+    # one procedure under two names (R7RS 6.10)
+    table[intern("call-with-current-continuation")] = table[intern("call/cc")]
 
 
 def _type_error(who, expected, value):
@@ -308,6 +310,13 @@ def _prim_num_gt(m, args):
         if type(a) is int and type(b) is int:
             return a > b
     return _chain_gt(m, args)
+
+
+# What compiled code writes as a Python operator on two fixnums while the
+# primitive's `fn` is still the one named here; `+` and `-` fall back to it
+# on an overflow.
+_FIXNUM = {_prim_add: "+", _prim_sub: "-", _prim_num_eq: "==",
+           _prim_num_lt: "<", _prim_num_gt: ">"}
 
 
 def _minmax_with(pick, who):
@@ -669,7 +678,6 @@ _PRIMITIVE_SPECS = [
     ("require", _prim_require, 1, 1, False),
     ("apply", _prim_apply, 2, None, True),
     ("call/cc", _prim_callcc, 1, 1, True),
-    ("call-with-current-continuation", _prim_callcc, 1, 1, True),
     ("void", _prim_void, 0, None, False),
     ("use-stack-trace", _prim_use_stack_trace, 1, 1, False),
 ]

@@ -5,12 +5,13 @@ and the choose-tree enumerator are plain Python, so they can vouch for the
 machine's backtracking order.
 """
 
+import gc
 import threading
 import time
 from itertools import product
 
-from ambit import write_value
-from ambit.values import NIL, Pair
+from ambit import read_all, write_value
+from ambit.values import NIL, Pair, Symbol, intern, list_from
 
 SUM_PROGRAM = """
 (define sum-cps
@@ -330,17 +331,265 @@ def run_on_small_stack(fn, size=512 * 1024):
 
 def scaling_ratio(run, small, large, bound, rounds=15):
     """time(large) / time(small) for `run(width)`, each the fastest of its
-    runs.  The two widths are timed in turn, so a slow spell of the host
-    reaches both.  After five rounds the timing stops as soon as the ratio
-    is within `bound`, so a slow spell costs more rounds, up to `rounds`,
-    rather than a failure; the bound itself is the caller's."""
+    runs, timed as this process's CPU time, so time the host gives other
+    processes is not counted.  Each run starts from a collected heap, so no
+    run pays for the garbage of the one before.  The two widths are timed in
+    turn, so a slow spell of the host reaches both.  After five rounds the
+    timing stops as soon as the ratio is within `bound`, so a slow spell
+    costs more rounds, up to `rounds`, rather than a failure; the bound
+    itself is the caller's."""
     best = {}
     for done in range(1, rounds + 1):
         for width in (small, large):
-            start = time.perf_counter()
+            gc.collect()
+            start = time.process_time()
             run(width)
-            took = time.perf_counter() - start
+            took = time.process_time() - start
             best[width] = min(best.get(width, took), took)
         if done >= 5 and best[large] / best[small] <= bound:
             break
     return best[large] / best[small]
+
+
+# --- a reference evaluator ------------------------------------------------
+
+
+class ReferenceError(Exception):
+    """An error of the reference evaluator, with the machine's error line."""
+
+    def __init__(self, label, message):
+        super().__init__(f"{label}: {message}")
+        self.line = f"{label}: {message}"
+
+
+class _Failed(Exception):
+    """Unwinds the reference evaluator's host stack to its driver, which
+    then calls `fk`: in continuation-passing style nothing the stack holds is
+    needed later, so each failure starts afresh from the driver."""
+
+    def __init__(self, fk):
+        super().__init__()
+        self.fk = fk
+
+
+class _Closure:
+    def __init__(self, params, body, env):
+        self.params, self.body, self.env = params, body, env
+
+
+class _Escape:
+    """A continuation captured by `call/cc`."""
+
+    def __init__(self, sk):
+        self.sk = sk
+
+
+_UNASSIGNED = object()
+_VOID = object()
+_INT64 = (-(2 ** 63), 2 ** 63 - 1)
+
+
+def _checked(who, value):
+    if not _INT64[0] <= value <= _INT64[1]:
+        raise ReferenceError(who, "integer overflow")
+    return value
+
+
+def _quotient(a, b):
+    if b == 0:
+        raise ReferenceError("quotient", "division by zero")
+    q = abs(a) // abs(b)
+    return _checked("quotient", -q if (a < 0) != (b < 0) else q)
+
+
+_REFERENCE_PRIMITIVES = {
+    "+": lambda a, b: _checked("+", a + b),
+    "-": lambda a, b: _checked("-", a - b),
+    "*": lambda a, b: _checked("*", a * b),
+    "quotient": _quotient,
+    "=": lambda a, b: a == b,
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "not": lambda a: a is False,
+}
+
+
+class Reference:
+    """A direct-style evaluator of a small Scheme: `lambda` (fixed
+    parameters), `define` (top level and at the head of a body), `set!`,
+    `if`, `begin`, `let`/`let*`/`letrec`, `quote`, `choose`, and the
+    procedures `+ - * quotient = < > not display require call/cc`, over
+    integers and booleans.  Like the `amb` evaluator of SICP 4.3.3 it takes
+    a success continuation `sk(value, fk)` and a failure continuation
+    `fk()`, both Python closures, so `choose` and `call/cc` need no machine.
+    It shares nothing with the interpreter but the reader and its values."""
+
+    def __init__(self):
+        self.globals, self.output = {}, []
+        for name, fn in _REFERENCE_PRIMITIVES.items():
+            self.globals[intern(name)] = fn
+        for name in ("display", "require", "call/cc"):
+            self.globals[intern(name)] = name
+
+    def run(self, forms):
+        """(solutions written, output, error line or None) of evaluating each
+        form and exhausting the last one's choices."""
+        values, error = [], None
+        try:
+            for form in forms[:-1]:
+                self._drive(form, lambda value, fk: None)
+            step = self._drive(forms[-1], lambda value, fk: (value, fk))
+            while step is not None:
+                values.append(self.write(step[0]))
+                step = self._drive(None, None, step[1])
+        except ReferenceError as err:
+            error = err.line
+        return values, "".join(self.output), error
+
+    def _drive(self, text, sk, fk=None):
+        if fk is None:
+            form = read_all(text)[0].value
+            step = lambda: self.eval(form, None, sk, lambda: None)  # noqa
+        else:
+            step = fk
+        while True:
+            try:
+                return step()
+            except _Failed as failed:
+                step = failed.fk
+
+    def write(self, value):
+        if value is True or value is False:
+            return "#t" if value else "#f"
+        return str(value)
+
+    def lookup(self, name, env):
+        while env is not None:
+            frame, env = env
+            if name in frame:
+                value = frame[name]
+                break
+        else:
+            value = self.globals.get(name, _UNASSIGNED)
+        if value is _UNASSIGNED:
+            raise ReferenceError("UnboundVariable", name.name)
+        return value
+
+    def assign(self, name, value, env):
+        while env is not None:
+            frame, env = env
+            if name in frame:
+                if frame[name] is _UNASSIGNED:
+                    raise ReferenceError("UnboundVariable",
+                                         f"set!: {name.name}")
+                frame[name] = value
+                return
+        if name not in self.globals:
+            raise ReferenceError("UnboundVariable", f"set!: {name.name}")
+        self.globals[name] = value
+
+    def eval(self, x, env, sk, fk):
+        if isinstance(x, Symbol):
+            return sk(self.lookup(x, env), fk)
+        if not isinstance(x, Pair):
+            return sk(x, fk)
+        items, head = _items_of(x), x.car.name if isinstance(
+            x.car, Symbol) else None
+        if head == "quote":
+            return sk(items[1], fk)
+        if head == "if":
+            return self.eval(items[1], env, lambda test, fk2: self.eval(
+                items[2] if test is not False else
+                items[3] if len(items) > 3 else None, env, sk, fk2), fk)
+        if head == "define":
+            name = items[1]
+
+            def bind(value, fk2):
+                (env[0] if env is not None else self.globals)[name] = value
+                return sk(_VOID, fk2)
+
+            return self.eval(items[2], env, bind, fk)
+        if head == "set!":
+            return self.eval(items[2], env, lambda value, fk2: (
+                self.assign(items[1], value, env), sk(_VOID, fk2))[1], fk)
+        if head == "lambda":
+            return sk(_Closure(_items_of(items[1]), items[2:], env), fk)
+        if head == "begin":
+            return self.body(items[1:], env, sk, fk)
+        if head == "let":
+            names = [_items_of(b)[0] for b in _items_of(items[1])]
+            inits = [_items_of(b)[1] for b in _items_of(items[1])]
+            return self.operands(inits, env, [], lambda values, fk2: self.enter(
+                names, values, items[2:], env, sk, fk2), fk)
+        if head == "let*":
+            bindings = _items_of(items[1])
+            if not bindings:
+                return self.enter([], [], items[2:], env, sk, fk)
+            rest = Pair(intern("let*"), Pair(list_from(bindings[1:]),
+                                             x.cdr.cdr))
+            name, init = _items_of(bindings[0])
+            return self.eval(init, env, lambda value, fk2: self.enter(
+                [name], [value], [rest], env, sk, fk2), fk)
+        if head == "letrec":
+            defines = [Pair(intern("define"), b) for b in _items_of(items[1])]
+            return self.enter([], [], defines + items[2:], env, sk, fk)
+        if head == "choose":
+            alternatives = items[1:]
+
+            def alternative(i):
+                if i == len(alternatives):
+                    raise _Failed(fk)
+                return self.eval(alternatives[i], env, sk,
+                                 lambda: alternative(i + 1))
+
+            return alternative(0)
+        return self.eval(x.car, env, lambda proc, fk2: self.operands(
+            items[1:], env, [], lambda args, fk3: self.apply(
+                proc, args, sk, fk3), fk2), fk)
+
+    def operands(self, xs, env, done, sk, fk):
+        """Evaluate `xs` left to right after the values `done`; a value list
+        is never changed once made, since a continuation may be resumed."""
+        if len(done) == len(xs):
+            return sk(done, fk)
+        return self.eval(xs[len(done)], env, lambda value, fk2: self.operands(
+            xs, env, done + [value], sk, fk2), fk)
+
+    def body(self, forms, env, sk, fk):
+        if len(forms) == 1:
+            return self.eval(forms[0], env, sk, fk)
+        return self.eval(forms[0], env, lambda value, fk2: self.body(
+            forms[1:], env, sk, fk2), fk)
+
+    def enter(self, names, values, forms, env, sk, fk):
+        """Run a body in a new frame binding `names`; each name a `define`
+        at its head binds is unassigned until the `define` runs."""
+        frame = dict(zip(names, values))
+        for form in forms:
+            if isinstance(form, Pair) and form.car is intern("define"):
+                frame[form.cdr.car] = _UNASSIGNED
+        return self.body(forms, (frame, env), sk, fk)
+
+    def apply(self, proc, args, sk, fk):
+        if type(proc) is _Closure:
+            return self.enter(proc.params, args, proc.body, proc.env, sk, fk)
+        if type(proc) is _Escape:
+            return proc.sk(args[0], fk)
+        if proc == "call/cc":
+            return self.apply(args[0], [_Escape(sk)], sk, fk)
+        if proc == "require":
+            if args[0] is False:
+                raise _Failed(fk)
+            return sk(args[0], fk)
+        if proc == "display":
+            self.output.append(self.write(args[0]))
+            return sk(_VOID, fk)
+        return sk(proc(*args), fk)
+
+
+def _items_of(datum):
+    items = []
+    while isinstance(datum, Pair):
+        items.append(datum.car)
+        datum = datum.cdr
+    return items

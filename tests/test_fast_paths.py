@@ -18,7 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import COLOR_EUROPE_PROGRAM, scaling_ratio
+from helpers import (
+    COLOR_EUROPE_PROGRAM, Reference, coloring_solutions, coloring_text,
+    scaling_ratio,
+)
 
 import ambit.compiler
 import ambit.machine
@@ -399,14 +402,15 @@ def test_a_compiled_tree_calls_the_primitive_fn_current_at_the_call(
 # --- compiled bodies ---------------------------------------------------------
 
 
-def compiled_and_stepped(forms, call):
+def compiled_and_stepped(forms, call, entries=1):
     """Each of `forms`, then `call` exhausted, on a machine whose lambdas are
-    compiled on their first entry and on one where none ever is; both must
+    compiled on their `entries`-th entry (and return points on their
+    `entries`-th resumption) and on one where nothing ever is; both must
     give the same values (written) or error line and frames, print the same
     and make as many continuations.  Gives those and the first machine."""
     runs = []
-    for entries in (1, 10 ** 9):
-        with hot_after(entries):
+    for hot in (entries, 10 ** 9):
+        with hot_after(hot):
             machine = Machine(stdout=io.StringIO())
             for form in forms:
                 ev(machine, form)
@@ -560,6 +564,160 @@ def test_compiled_scans_among_stepped_subforms_make_the_same_continuations():
     assert compiled(body(machine, "f")[0].op.body[0])
 
 
+# --- return points, call-site caches, fixnums and looping return chains -----
+
+
+def cache_holds(machine, caller, callee):
+    """Whether a call site compiled in `caller`'s body has cached `callee`'s
+    lambda."""
+    ns = machine.globals[intern(caller)].lam.body[0].run.__globals__
+    lam = machine.globals[intern(callee)].lam
+    return any(value is lam for value in ns.values())
+
+
+@contextmanager
+def sites_compiled():
+    """The applications whose return points `compile_site` compiles."""
+    apps, plain = [], ambit.compiler.compile_site
+
+    def record(app):
+        apps.append(app)
+        plain(app)
+
+    ambit.compiler.compile_site = record
+    try:
+        yield apps
+    finally:
+        ambit.compiler.compile_site = plain
+
+
+def test_a_cached_call_misses_once_the_callee_is_redefined():
+    values, machine = compiled_and_stepped(
+        ["(define mk (lambda (n) (lambda (x) (* x n))))",
+         "(define g (mk 2))", "(define f (lambda (x) (+ 1 (g x))))",
+         "(define r1 (f 1))", "(define g (mk 5))", "(define r2 (f 1))",
+         "(define g (lambda (x) (- x 7)))", "(define r3 (f 1))",
+         "(define g -)"], "(list r1 r2 r3 (f 1))")
+    # the same lambda with another frame hits the cache
+    assert values == ["(3 6 -5 0)"]
+    assert compiled_body(machine, "f")
+
+
+def test_a_cached_call_of_a_callee_of_another_arity():
+    (line, frames), machine = compiled_and_stepped(
+        ["(define g (lambda (x) x))", "(define f (lambda (x) (+ 1 (g x))))",
+         "(f 1)", "(define g (lambda (x y) x))",
+         "(define outer (lambda (n) (list (f n))))"], "(outer 1)")
+    assert line == "ArityError: g: expected 2 argument(s), got 1"
+    assert [frame[0] for frame in frames] == ["outer", "f"]
+
+
+def test_cached_calls_of_callees_with_rest_arguments_and_body_defines():
+    values, machine = compiled_and_stepped(
+        ["(define g (lambda (x . r) (list x r)))",
+         "(define h (lambda (x) (define y (* x 2)) (define z (+ y 1)) z))",
+         "(define f (lambda (x) (list (g x) (g x x) (h x) (h (h x)))))",
+         "(f 1)"], "(list (f 2) (f 3))")
+    assert values == ["(((2 ()) (2 (2)) 5 11) ((3 ()) (3 (3)) 7 15))"]
+    assert compiled_body(machine, "f") and compiled_body(machine, "h")
+    assert cache_holds(machine, "f", "h")
+    assert not cache_holds(machine, "f", "g")
+
+
+def test_an_uncompiled_callee_gets_hot_through_a_cached_site():
+    # `f` is compiled on its third entry, before `g` has had any; then the
+    # site in `f` misses, counting `g`'s entries, until `g` is compiled too
+    values, machine = compiled_and_stepped(
+        ["(define g (lambda (x) (* x 2)))",
+         "(define f (lambda (x) (if (= x 0) 0 (+ 1 (g x)))))",
+         "(f 0)", "(f 0)", "(f 0)",
+         "(define loop (lambda (n) (if (= n 0) '() "
+         "(cons (f n) (loop (- n 1))))))"], "(loop 6)", entries=3)
+    assert values == ["(13 11 9 7 5 3)"]
+    assert compiled_body(machine, "f") and compiled_body(machine, "g")
+    assert machine.globals[intern("g")].lam.entries is None
+    assert cache_holds(machine, "f", "g")
+
+
+@pytest.mark.parametrize("x, y", [
+    ("9223372036854775807", "0"), ("9223372036854775807", "1"),
+    ("-9223372036854775808", "1"), ("-9223372036854775808", "-1"),
+    ("1.5", "2"), ("2", "2.0"), ("#t", "1"), ("1", "'a"),
+])
+@pytest.mark.parametrize("op", ["+", "-", "=", "<", ">"])
+@pytest.mark.parametrize("form", [
+    # two variables, a literal operand, and the operands of a return point
+    "({op} x y)", "({op} x 1)", "({op} -1 y)", "({op} x (id y))",
+])
+def test_fixnum_paths_at_the_bounds_and_on_other_operands(form, op, x, y):
+    values, machine = compiled_and_stepped(
+        ["(define id (lambda (v) v))",
+         f"(define f (lambda (x y) {form.format(op=op)}))"], f"(f {x} {y})")
+    if type(values) is tuple:
+        assert values[0] in (f"{op}: integer overflow",
+                             f"{op}: expected a number, got #t",
+                             f"{op}: expected a number, got a")
+    assert compiled_body(machine, "f")
+
+
+def test_a_fixnum_overflow_is_the_primitive_s_own_error():
+    (line, _), _ = compiled_and_stepped(
+        ["(define f (lambda (x) (+ x 1)))"], "(f 9223372036854775807)")
+    assert line == "+: integer overflow"
+    (line, _), _ = compiled_and_stepped(
+        ["(define f (lambda (x) (- x 1)))"], "(f -9223372036854775808)")
+    assert line == "-: integer overflow"
+
+
+def test_callcc_inside_a_looping_return_chain_is_reentered():
+    values, machine = compiled_and_stepped(
+        ["(define saved #f)",
+         "(define f (lambda (d) (if (= d 0) 0 (+ 1 (g d)))))",
+         "(define g (lambda (d) (if (= d 5) (call/cc (lambda (c) "
+         "(set! saved c) (f (- d 1)))) (f (- d 1)))))",
+         "(define r (f 10))", "(define first r)", "(saved 100)",
+         "(define second r)", "(saved 200)"], "(list first second r)")
+    assert values == ["(10 106 206)"]
+    assert compiled_body(machine, "f") and compiled_body(machine, "g")
+
+
+def test_an_error_midway_through_a_looping_return_chain():
+    (line, frames), machine = compiled_and_stepped(
+        ["(define v (vector 1 1 1 'a 1 1))",
+         "(define f (lambda (d) (if (= d 0) 0 (+ (vector-ref v d) "
+         "(f (- d 1))))))", "(define outer (lambda (n) (list (f n))))"],
+        "(outer 5)")
+    assert line == "+: expected a number, got a"
+    assert [frame[0] for frame in frames] == ["outer", "f", "f", "f"]
+    assert compiled_body(machine, "f")
+
+
+def test_the_colouring_let_compiles_as_a_hot_site():
+    # the `let` of `color-europe` as a top-level form, which no lambda holds
+    start = COLOR_EUROPE_PROGRAM.index("(let")
+    let = COLOR_EUROPE_PROGRAM[start:].rstrip()[:-2]
+    with sites_compiled() as apps:
+        values, machine = compiled_and_stepped([COLOR_EUROPE_PROGRAM], let)
+    assert values == [coloring_text(combo) for combo in coloring_solutions()]
+    assert [len(app.args) for app in apps] == [8]
+    assert type(apps[0].site) is tuple
+
+
+def test_a_site_too_wide_to_compile_stays_stepped():
+    width = 8000
+    call = f"(length (list{' (g 1)' * width}))"
+    with sites_compiled() as apps:
+        values, machine = compiled_and_stepped(
+            ["(define g (lambda (x) x))"], call)
+        for _ in range(3):
+            assert ev(machine, call) == width
+    assert values == [str(width)]
+    # each parse of the call is handed over once, on its first resumption
+    # with every site hot at once, then at its thousandth
+    wide = [app for app in apps if len(app.args) == width]
+    assert len(wide) == 4 and all(app.site is None for app in wide)
+
+
 # --- the inline expressions of `not`, `null?` and `list` ---------------------
 
 
@@ -667,3 +825,156 @@ def test_a_symbol_is_equal_and_eqv_to_itself_alone(values):
     for x in symbols:
         for y in values + symbols:
             assert equal(x, y) is equal(y, x) is eqv(x, y) is (x is y)
+
+
+# --- against the reference evaluator ---------------------------------------
+
+
+def _ref_kinds(names, depth):
+    kinds = ["lit"] + ["var"] * bool(names)
+    if depth > 0:
+        # calls with operands that need the machine are the point
+        kinds += ["arith"] * 4 + ["choose"] * 3 + [
+            "quotient", "if", "let", "lambda", "begin", "escape", "reenter",
+            "ap", "ap"]
+        # `x` is in scope in the body of `h` alone, which must not call `h`
+        kinds += ["set"] * bool(names) + ["h", "hh", "hh"] * (
+            "x" not in names)
+    return kinds
+
+
+def _ref_int(draw, names, depth, kinds=None):
+    kind = draw(st.sampled_from(kinds or _ref_kinds(names, depth)))
+    sub = depth - 1
+    if kind == "lit":
+        return str(draw(st.integers(0, 9)))
+    if kind == "var":
+        return draw(st.sampled_from(sorted(names)))
+    if kind == "set":
+        name = draw(st.sampled_from(sorted(names)))
+        return f"(begin (set! {name} {_ref_int(draw, names, sub)}) {name})"
+    if kind in ("arith", "quotient"):
+        op = "quotient" if kind == "quotient" else draw(st.sampled_from("+-*"))
+        return (f"({op} {_ref_int(draw, names, sub)} "
+                f"{_ref_int(draw, names, sub)})")
+    if kind == "choose":
+        return "(choose " + " ".join(
+            _ref_int(draw, names, sub)
+            for _ in range(draw(st.integers(0, 3)))) + ")"
+    if kind == "if":
+        return (f"(if {_ref_bool(draw, names, sub)} "
+                f"{_ref_int(draw, names, sub)} {_ref_int(draw, names, sub)})")
+    if kind == "let":
+        head = draw(st.sampled_from(["let", "let*", "letrec"]))
+        name = draw(st.sampled_from("abc"))
+        visible = names - {name} if head == "letrec" else names
+        return (f"({head} (({name} {_ref_int(draw, visible, sub)})) "
+                f"{_ref_body(draw, names | {name}, sub)})")
+    if kind == "lambda":
+        name = draw(st.sampled_from("abc"))
+        return (f"((lambda ({name}) {_ref_body(draw, names | {name}, sub)}) "
+                f"{_ref_int(draw, names, sub)})")
+    if kind == "begin":
+        return f"(begin {_ref_body(draw, names, sub, defines=False)})"
+    if kind == "escape":
+        return (f"(call/cc (lambda (k) (+ {_ref_int(draw, names, sub)} "
+                f"(k {_ref_int(draw, names, sub)}))))")
+    if kind == "reenter":
+        # the return point of `+`'s second operand, resumed three times
+        return (f"(let ((n 0) (kk 0)) (let ((v (+ {_ref_int(draw, names, sub)}"
+                " (call/cc (lambda (kc) (set! kk kc) "
+                f"{_ref_int(draw, names, sub)}))))) (set! n (+ n 1)) "
+                "(if (< n 3) (kk n) v)))")
+    if kind == "ap":
+        # one call site in `ap` meets many closures of one arity
+        name = draw(st.sampled_from("abc"))
+        return (f"(ap (lambda ({name}) {_ref_body(draw, names | {name}, sub)})"
+                f" {_ref_int(draw, names, sub)})")
+    if kind == "hh":
+        # a second call of `h` runs its return points again before the first
+        # call's choices are exhausted
+        return (f"({draw(st.sampled_from('+-*'))} "
+                f"(h {_ref_int(draw, names, sub)}) "
+                f"(h {_ref_int(draw, names, sub)}))")
+    return f"(h {_ref_int(draw, names, sub)})"
+
+
+def _ref_bool(draw, names, depth):
+    kind = draw(st.sampled_from(["lit", "<", "=", ">", "not"]))
+    if kind == "lit":
+        return draw(st.sampled_from(["#t", "#f"]))
+    if kind == "not":
+        return f"(not {_ref_bool(draw, names, max(depth - 1, 0))})"
+    return (f"({kind} {_ref_int(draw, names, max(depth - 1, 0))} "
+            f"{_ref_int(draw, names, max(depth - 1, 0))})")
+
+
+def _ref_body(draw, names, depth, defines=True):
+    """Maybe a `define` at the head, statements, then a final form."""
+    forms = []
+    if defines and draw(st.booleans()):
+        forms.append(f"(define d {_ref_int(draw, names - {'d'}, depth)})")
+        names = names | {"d"}
+    for _ in range(draw(st.integers(0, 3))):
+        # a statement after a `require` checks the body runs every form
+        kind = draw(st.sampled_from(["require", "require", "display", "set"]))
+        if kind == "require":
+            forms.append(f"(require {_ref_bool(draw, names, depth)})")
+        elif kind == "display" or not names:
+            forms.append(f"(display {_ref_int(draw, names, depth)})")
+        else:
+            forms.append(f"(set! {draw(st.sampled_from(sorted(names)))} "
+                         f"{_ref_int(draw, names, depth)})")
+    forms.append(_ref_int(draw, names, depth))
+    return " ".join(forms)
+
+
+@st.composite
+def reference_programs(draw):
+    """`ap`, a helper `h`, and an expression whose choices are exhausted."""
+    # the body of `h` is a call whose operands need the machine, so its
+    # return points are resumed, by backtracking, after later calls of `h`
+    # have run them again
+    stepped = ["choose"] * 4 + ["let", "ap", "escape", "reenter"]
+    body = "({} {} {})".format(
+        draw(st.sampled_from(["+", "-", "*"])),
+        *(_ref_int(draw, frozenset("x"), 1, stepped) for _ in range(2)))
+    kinds = draw(st.sampled_from([None, ["hh"]]))
+    return ["(define ap (lambda (f x) (f x)))",
+            f"(define h (lambda (x) {body}))",
+            _ref_int(draw, frozenset(), draw(st.integers(1, 3)), kinds)]
+
+
+def machine_run(forms, entries):
+    """What `Reference.run` gives, from a machine that compiles a lambda on
+    its `entries`-th entry and a return point on its `entries`-th
+    resumption."""
+    with hot_after(entries):
+        machine = Machine(stdout=io.StringIO())
+        values, error = [], None
+        try:
+            for form in forms[:-1]:
+                ev(machine, form)
+            value = ev(machine, forms[-1])
+            while value != "no more choices":
+                values.append(write_value(value))
+                value = ev(machine, "(choose)")
+        except SchemeError as err:
+            error = err.error_line()
+        return values, machine.stdout.getvalue(), error
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_programs())
+@example(["(define ap (lambda (f x) (f x)))", "(define h (lambda (x) x))",
+          "(+ (ap (lambda (a) (* a 2)) 3) (ap (lambda (b) (+ b 1)) 3))"])
+@example(["(define ap (lambda (f x) (f x)))",
+          "(define h (lambda (x) (+ (choose x 5) (choose 1 2))))",
+          "(+ (h 1) (h 3))"])
+@example(["(define ap (lambda (f x) (f x)))", "(define h (lambda (x) x))",
+          "(let ((n 0) (kk 0)) (let ((v (+ (choose 1 2) (call/cc (lambda (kc) "
+          "(set! kk kc) 5))))) (set! n (+ n 1)) (if (< n 3) (kk n) v)))"])
+def test_the_machine_agrees_with_the_reference_evaluator(forms):
+    want = Reference().run(forms)
+    assert machine_run(forms, 10 ** 9) == want
+    assert machine_run(forms, 1) == want

@@ -353,6 +353,11 @@ def test_callcc_is_a_procedure(machine):
                        "(list (lambda (k) (k 3))))") == 3
 
 
+def test_both_spellings_of_callcc_are_one_procedure(machine):
+    assert ev(machine, "(eq? call/cc call-with-current-continuation)") is True
+    assert ev(machine, "(eqv? call-with-current-continuation call/cc)") is True
+
+
 def test_callcc_without_an_operand_is_an_arity_error(machine):
     with pytest.raises(EvalError) as excinfo:
         ev(machine, "(call/cc)")
