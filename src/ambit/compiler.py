@@ -12,11 +12,13 @@ get its fields and a handler written for their position, which runs the
 rest of the application, and which loops while a primitive's value goes to
 a continuation made at its own site.  A closure call hits a monomorphic
 inline cache (Deutsch & Schiffman 1984) for the compiled lambda of its arity
-it last met, else goes through `apply_proc`.  Each function returns to the
-trampoline as soon as it starts a subform that needs the machine, and first
-checks every operator's global, running the stepped path if one has been
-rebound; user code run by a stepped subform may rebind one, so a body's
-forms after it take the stepped path and a return point checks again.
+it last met, builds the frame and enters through `machine._enter`, the
+interpreter's own entry, else goes through `apply_proc`.  Each function
+returns to the trampoline as soon as it starts a subform that needs the
+machine, and first checks every operator's global, running the stepped path
+if one has been rebound; user code run by a stepped subform may rebind one,
+so a body's forms after it take the stepped path and a return point checks
+again.
 """
 
 # the compiled code reads this module's names, some imported only for it
@@ -26,8 +28,7 @@ from .forms import (
     PrimCall, RequireStmt, VarRef,
 )
 from .machine import (
-    _FAIL, _eval_operands, _run, _run_body, apply_cont,
-    apply_proc, cont_begin, invoke_fail,
+    _enter, _eval_operands, apply_cont, apply_proc, cont_begin, invoke_fail,
 )
 from .primitives import _FIXNUM, _SCAN
 from .values import (
@@ -45,14 +46,7 @@ _NEST, _WIDE = 40, 64
 _CALL = """if type({p}) is Closure and {p}.lam is {lam}:
     frame = [{p}.env, {xs}]
     if {lam}.defines: frame += [UNASSIGNED] * {lam}.defines
-    trace = m.trace
-    if trace.config.enabled:
-        parent = {k}.spine
-        depth = 1 if parent is None else parent[6] + 1
-        trace.spine = ({label}, ({xs}), {site}, parent, depth)
-        if depth > trace.high_water: trace.high_water = depth
-    m.exp_reg, m.env_reg, m.k_reg, m.pc = {lam}.body[0], frame, {k}, _run
-    return
+    return _enter(m, {p}, frame, ({xs}), {k}, {app})
 return _miss(m, {p}, ({xs}), {k}, {app}, globals(), {lam!r})"""
 # a return point's head, and that of one that loops, with the loop's end
 _RETURN = "    {fields} = m.fields_reg\n    v = m.value_reg\n"
@@ -67,17 +61,17 @@ fields, v = {k}.fields, {t}"""
 
 
 def fuse(lam):
-    """Compile `lam`'s body to the `run` of a `BeginExpr` that becomes the
-    whole body."""
+    """Compile `lam`'s body to the `run` of a `BeginExpr` holding the body
+    as parsed, which becomes the body."""
     lam.entries = None
     code = _Code(dict(globals()), lam)
-    code.run(BeginExpr(lam.body), "k", "    ", 0)
-    # a body that is one form handed to its own `run` gains nothing
+    code.run(lam.body, "k", "    ", 0)
+    # a body handed to its own `run` gains nothing
     if len(code.lines) == 1 and code.lines[0].endswith(".run(m, env, k)"):
         return
-    code.define("body(node, m, env, k)", "_run_body(m, node.body, 0, env, k)")
-    lam.body = (type("BeginExpr", (BeginExpr,), {
-        "__slots__": (), "run": code.ns["body"]})(lam.body),)
+    code.define("body(node, m, env, k)", "node.body[0].run(m, env, k)")
+    lam.body = type("BeginExpr", (BeginExpr,), {
+        "__slots__": (), "run": code.ns["body"]})((lam.body,))
 
 
 def compile_site(app):
@@ -95,12 +89,12 @@ def compile_site(app):
 
 
 def _miss(m, proc, args, k, app, ns, cache):
-    """`apply_proc`, after which a compiled lambda taking exactly `args`,
-    with the one body form a hit enters, fills the site's cache."""
+    """`apply_proc`, after which a compiled lambda taking exactly `args`
+    fills the site's cache."""
     apply_proc(m, proc, args, k, app)
     lam = proc.lam if type(proc) is Closure else None
     if (lam and lam.entries is None and lam.rest is None
-            and len(lam.params) == len(args) and len(lam.body) == 1):
+            and len(lam.params) == len(args)):
         ns[cache] = lam
 
 
@@ -211,9 +205,7 @@ class _Code:
                 if test:
                     results.append(self.scan(node, test, xs, pad))
                     continue
-                if type(node) is RequireStmt:
-                    value = f"_FAIL if {xs[0]} is False else {xs[0]}"
-                elif node.prim.inline and len(xs) <= _WIDE:
+                if node.prim.inline and len(xs) <= _WIDE:
                     # a longer chain of nested calls could strain the compiler
                     value = node.prim.inline(xs)
                 else:
@@ -317,12 +309,8 @@ class _Code:
             end = (_TURN.format(k=k, label=loop, t=temp) if loop else
                    f"return apply_cont(m, {k}, {temp})")
         else:
-            end = _CALL.format(
-                p=proc, lam=self.name(None), xs=_items(xs), k=k,
-                app=self.name(app), site=f"{app.line}, {app.col}, "
-                f"{app.source!r}", label=repr(app.op_name) if app.op_name
-                else f"'#<procedure>' if {proc}.name is None "
-                f"else {proc}.name.name")
+            end = _CALL.format(p=proc, lam=self.name(None), xs=_items(xs),
+                               k=k, app=self.name(app))
         code += [pad + line for line in end.split("\n")]
         return None
 

@@ -103,9 +103,10 @@ class SetExpr:
 
 
 class LambdaExpr:
-    """`defines` counts the slots its body's `define`s add after the
-    parameters; `entries` counts the machine's entries into its closures,
-    and is None once the machine has compiled its body."""
+    """`body` is one node, a `BeginExpr` for several forms; `defines` counts
+    the slots its body's `define`s add after the parameters; `entries`
+    counts the machine's entries into its closures, and is None once the
+    machine has compiled its body."""
 
     __slots__ = ("params", "rest", "body", "defines", "entries")
 
@@ -214,7 +215,8 @@ class _Scope:
     The top-level scope has no slots.  All scopes of one top-level form share
     its macro table, its source name, the list of (VarRef, scope) pairs
     still to resolve and the list of applications with a named operator and
-    of bodies (tuples), each after the applications within it.
+    of the bodies of several forms (tuples), each after the applications
+    within it.
     """
 
     __slots__ = ("slots", "parent", "refs", "apps", "macros", "source")
@@ -233,10 +235,8 @@ class _Scope:
                       self.refs, self.apps, self.macros, self.source)
 
     def closure(self, params, rest, body):
-        body = tuple(body)
-        self.apps.append(body)
         # the slots after the parameters are the ones the body's defines added
-        return LambdaExpr(params, rest, body,
+        return LambdaExpr(params, rest, self.begin(tuple(body)),
                           len(self.slots) - len(params) - (rest is not None))
 
     def begin(self, body):

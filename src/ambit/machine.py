@@ -24,13 +24,13 @@ operator's global still holds it.
 A `run` descends only into the subforms of its own form, and follows the
 chain of ifs a `cond`, `and` or `or` becomes in a loop.  `call/cc` is a
 control primitive (see `primitives`), so there are nine core forms: the
-node classes of `forms`.  Entering a closure body
-(`apply_proc`), delivering to a continuation (`apply_cont`) and resuming a
-choice point (`invoke_fail`) only assign registers and return to the
-trampoline, so host call depth grows only with the nesting that
-`parse_core` itself recursed through, however deeply the interpreted
-program recurses.  A body's forms run in one loop that makes a continuation
-only for a form that needs the machine.
+node classes of `forms`.  Entering a closure (`_enter`, which `apply_proc`
+and compiled code both end in), delivering to a continuation (`apply_cont`)
+and resuming a choice point (`invoke_fail`) only assign registers and return
+to the trampoline, so host call depth grows only with the nesting that
+`parse_core` itself recursed through, however deeply the interpreted program
+recurses.  A lambda's body is one node; a body of several forms runs them in
+one loop that makes a continuation only for a form that needs the machine.
 
 Once a lambda's closures have been entered `_HOT_ENTRIES` times, its body
 is compiled to Python (see `compiler`), as are an application's return
@@ -465,28 +465,27 @@ def cont_begin(m):
     _run_body(m, body, i, env, k)
 
 
-def _raise_arity(proc, na):
-    if proc.max_args is None:
-        expected = f"at least {proc.min_args}"
-    elif proc.min_args == proc.max_args:
-        expected = str(proc.min_args)
+def _raise_arity(label, least, most, na):
+    """Every procedure's ArityError; `most` is None for no upper bound."""
+    if most is None:
+        expected = f"at least {least}"
+    elif least == most:
+        expected = str(least)
     else:
-        expected = f"{proc.min_args} to {proc.max_args}"
+        expected = f"{least} to {most}"
     raise EvalError("ArityError",
-                    f"{proc.name}: expected {expected} argument(s), got {na}")
+                    f"{label}: expected {expected} argument(s), got {na}")
 
 
 def apply_proc(m, proc, args, k, app=None):
     """Apply closure, primitive, or continuation to already-evaluated args.
 
-    This is the only place a closure is entered, and the body starts from
-    the trampoline rather than from here, through `cont_begin` when it has
-    more than one form (a compiled body is one).  Tail calls happen here:
-    the callee runs toward the caller's `k`, so the continuation chain does
-    not grow for calls in tail position.  The callee's trace frame goes on
-    top of `k`'s spine rather than the current one, so a tail call replaces
-    its caller's frame and the trace stays bounded for tail-recursive loops.
-    `app` is the application form, which supplies the label and call site.
+    A closure's arguments are checked and its frame built here, and its
+    entries counted until it is compiled; then `_enter` enters it.  Tail
+    calls happen here: the callee runs toward the caller's `k`, so the
+    continuation chain does not grow for calls in tail position.  `app` is
+    the application form, which supplies the label and call site; it is None
+    for a call through `apply` or `call/cc`.
     """
     t = type(proc)
     if t is Closure:
@@ -495,15 +494,11 @@ def apply_proc(m, proc, args, k, app=None):
         na = len(args)
         if lam.rest is None:
             if na != np:
-                raise EvalError("ArityError",
-                                f"{_proc_label(proc, app)}: expected {np} "
-                                f"argument(s), got {na}")
+                _raise_arity(_proc_label(proc, app), np, np, na)
             env = [proc.env, *args]
         else:
             if na < np:
-                raise EvalError("ArityError",
-                                f"{_proc_label(proc, app)}: expected at least "
-                                f"{np} argument(s), got {na}")
+                _raise_arity(_proc_label(proc, app), np, None, na)
             env = [proc.env, *args[:np], list_from(args[np:])]
         if lam.defines:
             env += [UNASSIGNED] * lam.defines
@@ -514,37 +509,13 @@ def apply_proc(m, proc, args, k, app=None):
                 # loads the compiler
                 from .compiler import fuse
                 fuse(lam)
-        trace = m.trace
-        if trace.config.enabled:
-            # node layout: (label, args, line, col, source, parent, depth)
-            parent = k.spine
-            depth = 1 if parent is None else parent[6] + 1
-            if app is None:
-                trace.spine = (_proc_label(proc, None), args, None, None, None,
-                               parent, depth)
-            else:
-                label = app.op_name
-                if label is None:
-                    label = _proc_label(proc, None)
-                trace.spine = (label, args, app.line, app.col, app.source,
-                               parent, depth)
-            if depth > trace.high_water:
-                trace.high_water = depth
-        body = lam.body
-        if len(body) > 1:
-            m.fields_reg = (body, 0, env, k)
-            m.pc = cont_begin
-            return
-        m.exp_reg = body[0]
-        m.env_reg = env
-        m.k_reg = k
-        m.pc = _run
+        _enter(m, proc, env, args, k, app)
         return
     if t is Primitive:
         na = len(args)
         if na < proc.min_args or (proc.max_args is not None
                                   and na > proc.max_args):
-            _raise_arity(proc, na)
+            _raise_arity(proc.name, proc.min_args, proc.max_args, na)
         if proc.control:
             proc.fn(m, args, k)
         else:
@@ -552,19 +523,36 @@ def apply_proc(m, proc, args, k, app=None):
         return
     if t is Cont:
         if len(args) != 1:
-            raise EvalError("ArityError",
-                            f"continuation expects 1 argument, got {len(args)}")
+            _raise_arity("continuation", 1, 1, len(args))
         apply_cont(m, proc, args[0])
         return
     raise EvalError("NotAProcedure", write_value(proc))
 
 
+def _enter(m, proc, env, args, k, app):
+    """Enter closure `proc` in the frame `env` made of `args`: the one place
+    that pushes a closure's trace node and starts its body, from the
+    trampoline.  The node goes on `k`'s spine, so a tail call replaces its
+    caller's frame and a loop's trace stays bounded; its label is taken
+    now, so a later `define` does not rename a pending frame."""
+    trace = m.trace
+    if trace.config.enabled:
+        parent = k.spine
+        depth = 1 if parent is None else parent[4] + 1
+        trace.spine = (app and app.op_name or _proc_label(proc, None), args,
+                       app, parent, depth)
+        if depth > trace.high_water:
+            trace.high_water = depth
+    m.exp_reg = proc.lam.body
+    m.env_reg = env
+    m.k_reg = k
+    m.pc = _run
+
+
 def _proc_label(proc, app):
     if app is not None and app.op_name is not None:
         return app.op_name
-    if type(proc) is Closure and proc.name is not None:
-        return proc.name.name
-    return "#<procedure>"
+    return "#<procedure>" if proc.name is None else proc.name.name
 
 
 def _choose_run(exp, m, env, k):

@@ -2,7 +2,8 @@
 
 The reader accepts both `(...)` and `[...]` (a bracket must close the kind
 that opened it), quote shorthands, dotted pairs, `#(...)` vectors, `#t`/`#f`,
-64-bit integers, and floating-point reals.  `;` comments run to end of line.
+64-bit integers, and floating-point reals (`.5` among them).  `;` comments
+run to end of line.
 
 Reading is one pass.  A master regular expression walks the text one lexeme
 at a time, and each delimiter, prefix or atom acts at once on an explicit
@@ -24,7 +25,9 @@ from .values import INT64_MAX, INT64_MIN, NIL, Pair, SourcePair, intern
 
 # used by string->number as well
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-_REAL_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?\Z")
+_REAL_RE = re.compile(
+    r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
+_NUMBER_START = re.compile(r"[+-]?\.?[0-9]")
 # the reals written without digits (R7RS 6.2.6)
 _INF_NAN = {"+inf.0": math.inf, "-inf.0": -math.inf, "+nan.0": math.nan,
             "-nan.0": math.nan}
@@ -55,14 +58,14 @@ _END = f"(?!{_ATOM})"                         # the atom ends here
 # blanks after it along, so a match starts at its lexeme.  The atoms with a
 # group of their own are the common spellings, which need no further
 # check: a symbol starting with an ASCII character that cannot start a
-# number, a lone sign, or one starting with '.'; an integer of at most 18
-# digits; `#t` and `#f`.  Every other atom (a real, a longer integer, a
-# malformed number, a longer symbol starting with a sign, one starting
-# with a non-ASCII character, `#` followed by anything but `(`, `t` or
-# `f`) goes through `_atom`.
+# number, a lone sign, or one starting with '.' and then no digit; an
+# integer of at most 18 digits; `#t` and `#f`.  Every other atom (a real,
+# a longer integer, a malformed number, a longer symbol starting with a
+# sign, one starting with a non-ASCII character, `#` followed by anything
+# but `(`, `t` or `f`) goes through `_atom`.
 _SCAN = re.compile("(?:" + "|".join((
-    r"([\x00-\x08\x0b\x0c\x0e-\x1f!$%&*/:<=>?@A-Z\\^_a-z{|}~\x7f]"
-    + _ATOM + r"*|[+-]" + _END + r"|\." + _ATOM + "+)",  # 1 symbol
+    r"([\x00-\x08\x0b\x0c\x0e-\x1f!$%&*/:<=>?@A-Z\\^_a-z{|}~\x7f]"  # 1 symbol
+    + _ATOM + r"*|[+-]" + _END + r"|\.(?![0-9])" + _ATOM + "+)",
     r"([(\[])",                                     # 2 list open
     r"([)\]])",                                     # 3 close
     r"([+-]?[0-9]{1,18})" + _END,                   # 4 integer in range
@@ -149,8 +152,7 @@ def _atom(lexeme, text, start, loc):
         if nxt in ("t", "f"):
             raise LexError(f"malformed boolean near '{lexeme[:3]}'", *loc)
         raise LexError(f"illegal character sequence '#{nxt}'", *loc)
-    if first.isdigit() or (first in "+-" and len(lexeme) > 1
-                           and lexeme[1].isdigit()):
+    if _NUMBER_START.match(lexeme):
         if _INT_RE.match(lexeme):
             value = int(lexeme)
             if not INT64_MIN <= value <= INT64_MAX:

@@ -1,15 +1,17 @@
 """Stack-like tracebacks carried by continuations.
 
 The pending applications form an immutable spine of frame nodes.  A node is
-the tuple (label, args, line, col, source, parent, depth): the callee label
-and raw argument values captured when the closure was entered, the call
-site, the node below it (None at the bottom) and its height.  Every
-continuation records the spine that was current when it was made, and
-delivering a value to it makes that spine current again, so returning pops
-frames and a re-entered `call/cc` continuation or a resumed choice point
-shows exactly the frames pending where it resumes.  Entering a closure puts
-one node on top of the spine of the continuation the callee returns to, so a
-tail call replaces its caller's frame and the trace stays bounded for loops.
+the tuple (label, args, app, parent, depth): the callee label and raw
+argument values captured when the closure was entered, the application form
+it was entered from, which gives the call site (None for an entry through
+`apply` or `call/cc`), the node below it (None at the bottom) and its
+height.  Every continuation records the spine that was current when it was
+made, and delivering a value to it makes that spine current again, so
+returning pops frames and a re-entered `call/cc` continuation or a resumed
+choice point shows exactly the frames pending where it resumes.  Entering a
+closure (`machine._enter`) puts one node on top of the spine of the
+continuation the callee returns to, so a tail call replaces its caller's
+frame and the trace stays bounded for loops.
 Rendering to text is deferred until a traceback is actually produced.
 """
 
@@ -64,8 +66,9 @@ def spine_frames(node, limit=None):
     newest `limit` of them when a limit is given."""
     frames = []
     while node is not None and len(frames) != limit:
-        frames.append(node[:5])
-        node = node[5]
+        label, args, app, node = node[:4]
+        frames.append((label, args, None, None, None) if app is None else
+                      (label, args, app.line, app.col, app.source))
     frames.reverse()
     return tuple(frames)
 
@@ -87,7 +90,7 @@ def render_traceback(frames, error, max_frames=DEFAULT_MAX_FRAMES):
     lines = []
     if frames is None:
         spine = error.spine
-        total = spine[6] if spine is not None else 0
+        total = spine[4] if spine is not None else 0
         frames = spine_frames(spine, max_frames)
     else:
         frames = tuple(frames)

@@ -12,6 +12,7 @@ hot from their first entry runs compiled code wherever it can.
 
 import io
 import re
+import signal
 from contextlib import contextmanager
 
 import pytest
@@ -26,9 +27,10 @@ from helpers import (
 import ambit.compiler
 import ambit.machine
 from ambit import Machine, SchemeError, intern, read_all, write_value
-from ambit.forms import RequireStmt
+from ambit.forms import BeginExpr, RequireStmt
+from ambit.trace import render_traceback
 from ambit.values import (
-    BY_IDENTITY, NIL, VOID, Pair, Primitive, equal, eqv, list_from,
+    BY_IDENTITY, NIL, VOID, Cont, Pair, Primitive, equal, eqv, list_from,
     to_pylist,
 )
 
@@ -199,7 +201,7 @@ def test_rebinding_plus_after_a_definition_that_uses_it(machine):
 
 def test_rebinding_require_after_a_definition_that_uses_it(machine):
     ev(machine, "(define g (lambda (x) (require x) 'ok))")
-    assert type(machine.globals[intern("g")].lam.body[0]) is RequireStmt
+    assert type(machine.globals[intern("g")].lam.body.body[0]) is RequireStmt
     assert ev(machine, "(g #f)") == "no more choices"
     ev(machine, "(define require (lambda (x) (display 'called)))")
     assert ev(machine, "(g #f)") is intern("ok")
@@ -222,7 +224,8 @@ def test_statement_require_resumes_with_the_choice_points_spine(machine):
     machine.globals[intern("spine-here")] = Primitive(
         "spine-here", spine_here, 0, 0)
     ev(machine, "(define check (lambda (x) (require (> x 1)) x))")
-    assert type(machine.globals[intern("check")].lam.body[0]) is RequireStmt
+    check = machine.globals[intern("check")]
+    assert type(check.lam.body.body[0]) is RequireStmt
     ev(machine, "(define f (lambda (n) (check (begin (spine-here) "
                 "(choose 1 (begin (spine-here) 2))))))")
     assert ev(machine, "(f 0)") == 2
@@ -285,13 +288,15 @@ def compiled(node):
 
 def compiled_body(machine, name):
     """Whether the named procedure's whole body has been compiled."""
-    return compiled(machine.globals[intern(name)].lam.body[0])
+    return compiled(machine.globals[intern(name)].lam.body)
 
 
 def body(machine, name):
     """The named procedure's body forms, as parsed."""
-    forms = machine.globals[intern(name)].lam.body
-    return forms[0].body if compiled_body(machine, name) else forms
+    node = machine.globals[intern(name)].lam.body
+    if compiled(node):
+        node = node.body[0]
+    return node.body if type(node) is BeginExpr else (node,)
 
 
 def exhaust(machine, text):
@@ -362,7 +367,7 @@ def test_an_unbound_read_in_a_compiled_tree_keeps_message_and_frames(
     assert fused[1] == stepped[1]
     assert [frame[0] for frame in fused[1]] == frames
     # the body of the lambda that reads the variable
-    assert compiled(lam(fused[2]).body[0])
+    assert compiled(lam(fused[2]).body)
 
 
 def test_a_nested_require_in_a_compiled_tree_backtracks(machine, hot):
@@ -561,7 +566,7 @@ def test_compiled_scans_among_stepped_subforms_make_the_same_continuations():
          "(require (not (memq y (list x 'c)))) "
          "(list y (member x (list 'a (choose 'b 'c)))))))"], "(f 'a)")
     assert values == ["(b (a b))", "(b (a c))"]
-    assert compiled(body(machine, "f")[0].op.body[0])
+    assert compiled(body(machine, "f")[0].op.body)
 
 
 # --- return points, call-site caches, fixnums and looping return chains -----
@@ -570,7 +575,7 @@ def test_compiled_scans_among_stepped_subforms_make_the_same_continuations():
 def cache_holds(machine, caller, callee):
     """Whether a call site compiled in `caller`'s body has cached `callee`'s
     lambda."""
-    ns = machine.globals[intern(caller)].lam.body[0].run.__globals__
+    ns = machine.globals[intern(caller)].lam.body.run.__globals__
     lam = machine.globals[intern(callee)].lam
     return any(value is lam for value in ns.values())
 
@@ -610,6 +615,81 @@ def test_a_cached_call_of_a_callee_of_another_arity():
          "(define outer (lambda (n) (list (f n))))"], "(outer 1)")
     assert line == "ArityError: g: expected 2 argument(s), got 1"
     assert [frame[0] for frame in frames] == ["outer", "f"]
+
+
+@pytest.mark.parametrize("forms, call, line", [
+    # closures of fixed arity and with a rest parameter
+    (["(define g (lambda (a b) a))", "(define f (lambda () (g 1)))"], "(f)",
+     "ArityError: g: expected 2 argument(s), got 1"),
+    (["(define g (lambda (a b . r) a))", "(define f (lambda () (g 1)))"],
+     "(f)", "ArityError: g: expected at least 2 argument(s), got 1"),
+    # an anonymous `let` lambda, and calls through `apply`
+    (["(define f (lambda () ((let ((y 1)) (lambda (x) (+ x y))) 1 2)))"],
+     "(f)", "ArityError: #<procedure>: expected 1 argument(s), got 2"),
+    (["(define f (lambda () (apply (lambda (x . r) x) (list))))"], "(f)",
+     "ArityError: #<procedure>: expected at least 1 argument(s), got 0"),
+    (["(define g (lambda (x) x))", "(define f (lambda () (apply g 1 '(2))))"],
+     "(f)", "ArityError: g: expected 1 argument(s), got 2"),
+    # a compiled site that misses once the cached callee is redefined
+    (["(define g (lambda (x) x))", "(define f (lambda (x) (+ 1 (g x))))",
+      "(f 1)", "(define g (lambda (x y . r) x))"], "(f 1)",
+     "ArityError: g: expected at least 2 argument(s), got 1"),
+    # primitives of fixed arity, "at least" and a range
+    (["(define f (lambda (x) (car x x)))"], "(f 1)",
+     "ArityError: car: expected 1 argument(s), got 2"),
+    (["(define f (lambda () (error 'f)))"], "(f)",
+     "ArityError: error: expected at least 2 argument(s), got 1"),
+    (["(define f (lambda (x) (make-vector x x x)))"], "(f 1)",
+     "ArityError: make-vector: expected 1 to 2 argument(s), got 3"),
+    # a continuation called with two values
+    (["(define k #f)", "(call/cc (lambda (c) (set! k c)))",
+      "(define f (lambda () (k 1 2)))"], "(f)",
+     "ArityError: continuation: expected 1 argument(s), got 2"),
+])
+def test_every_arity_error_has_one_message(forms, call, line):
+    (error, frames), machine = compiled_and_stepped(
+        forms + ["(define outer (lambda () (list " + call + ")))"],
+        "(outer)")
+    assert error == line
+    assert frames[0][0] == "outer"
+    assert compiled_body(machine, "outer")
+
+
+@pytest.mark.parametrize("entries", [1, 10 ** 9])
+def test_frames_entered_through_apply_and_callcc_have_no_call_site(entries):
+    def error(text):
+        with pytest.raises(SchemeError) as excinfo:
+            ev(machine, text)
+        err = excinfo.value
+        return err.frames, render_traceback(None, err).split("\n")[1:]
+
+    with hot_after(entries):
+        machine = Machine(stdout=io.StringIO())
+        ev(machine, "(define f (lambda (x) (car x)))")
+        ev(machine, "(define g (lambda (k) (car k)))")
+        ev(machine, "(define h (lambda (x) (+ 1 (apply f (list x)))))")
+        assert error("(h 5)") == (
+            (("h", (5,), 1, 1, "<input>"), ("f", (5,), None, None, None)),
+            ['  File "<input>", line 1, col 1, in (h 5)', "  In (f 5)",
+             "car: expected a pair, got 5"])
+        assert error("(apply (lambda (x) (car x)) (list 6))") == (
+            (("#<procedure>", (6,), None, None, None),),
+            ["  In (#<procedure> 6)", "car: expected a pair, got 6"])
+        frames, lines = error("(call/cc g)")
+        assert type(frames[0][1][0]) is Cont
+        assert frames == (("g", frames[0][1], None, None, None),)
+        assert lines == ["  In (g #<continuation>)",
+                         "car: expected a pair, got #<continuation>"]
+
+
+def test_a_cached_compiled_tail_loop_keeps_the_trace_bounded():
+    with hot_after(1):
+        machine = Machine(stdout=io.StringIO())
+        ev(machine, "(define loop (lambda (n) "
+                    "(if (= n 0) (quote done) (loop (- n 1)))))")
+        assert ev(machine, "(loop 10000)") is intern("done")
+        assert cache_holds(machine, "loop", "loop")
+        assert machine.trace.high_water == 1
 
 
 def test_cached_calls_of_callees_with_rest_arguments_and_body_defines():
@@ -794,7 +874,7 @@ def scan(name, target, items):
     ys = "".join(f" y{i}" for i in range(len(items)))
     lam = ev(machine, f"(lambda (x{ys}) ({name} x (list{ys})))").lam
     code = ambit.compiler._Code(dict(vars(ambit.compiler)), lam)
-    result = code.value(lam.body[0], "    ")
+    result = code.value(lam.body, "    ")
     source = code.function("scan(m, env)", "None") + f"    return {result}\n"
     exec(source, code.ns)
     return code.ns["scan"](machine, [None, target, *items]), source
@@ -945,13 +1025,26 @@ def reference_programs(draw):
             _ref_int(draw, frozenset(), draw(st.integers(1, 3)), kinds)]
 
 
+class _Overrun(Exception):
+    """A program run past `machine_run`'s budget; not a KeyboardInterrupt,
+    which would stop the test session."""
+
+
+def _overrun(signum, frame):
+    raise _Overrun("the program ran past its time budget")
+
+
 def machine_run(forms, entries):
     """What `Reference.run` gives, from a machine that compiles a lambda on
     its `entries`-th entry and a return point on its `entries`-th
-    resumption."""
+    resumption.  A program still running after 20 seconds is stopped, which
+    `eval_top` reports as an InternalError, so a wrong machine that
+    loops fails the comparison instead of hanging it."""
     with hot_after(entries):
         machine = Machine(stdout=io.StringIO())
         values, error = [], None
+        handler = signal.signal(signal.SIGALRM, _overrun)
+        signal.setitimer(signal.ITIMER_REAL, 20)
         try:
             for form in forms[:-1]:
                 ev(machine, form)
@@ -961,6 +1054,9 @@ def machine_run(forms, entries):
                 value = ev(machine, "(choose)")
         except SchemeError as err:
             error = err.error_line()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
         return values, machine.stdout.getvalue(), error
 
 

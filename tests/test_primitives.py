@@ -300,6 +300,14 @@ def test_infinities_and_nan_are_written_as_r7rs_spells_them(machine):
     assert ev(machine, '(string->number "inf")') is False
 
 
+def test_a_decimal_may_start_with_its_point(machine):
+    # R7RS 7.1.1 <decimal 10>
+    assert ev(machine, "(+ .5 1)") == 1.5
+    assert [ev(machine, f'(string->number "{text}")')
+            for text in (".5", "-.5", "+.5", ".5e1", ".", ".e1")] == [
+        0.5, -0.5, 0.5, 5.0, False, False]
+
+
 def test_minus_nan_is_read_as_a_nan(machine):
     assert ev(machine, '(let ((x (string->number "-nan.0"))) '
                        '(not (= x x)))') is True

@@ -106,6 +106,22 @@ def test_number_classification():
     assert first_value("-2.5e-2") == -0.025
 
 
+def test_a_decimal_may_start_with_its_point():
+    # R7RS 7.1.1 <decimal 10>; a point with no digit after it starts no
+    # number, so these spellings are unchanged
+    assert [first_value(text) for text in (".5", "-.5", "+.5", ".5e1")] == [
+        0.5, -0.5, 0.5, 5.0]
+    assert first_value("...") is intern("...")
+    assert first_value(".foo") is intern(".foo")
+    assert first_value("-.x") is intern("-.x")
+    value = first_value("(a . b)")
+    assert (value.car, value.cdr) == (intern("a"), intern("b"))
+    value = first_value("(a .5 . .5)")
+    assert (value.cdr.car, value.cdr.cdr) == (0.5, 0.5)
+    err = read_error(".5x")
+    assert (type(err), err.message) == (LexError, "malformed number '.5x'")
+
+
 def test_plus_minus_alone_are_symbols():
     assert first_value("-") is intern("-")
     assert first_value("+") is intern("+")

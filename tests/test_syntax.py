@@ -51,7 +51,9 @@ def show(core):
         return "(if " + " ".join(map(show, parts)) + ")"
     if isinstance(core, LambdaExpr):
         params = " ".join(p.name for p in core.params)
-        return f"(lambda ({params}) " + " ".join(map(show, core.body)) + ")"
+        body = core.body
+        forms = body.body if isinstance(body, BeginExpr) else (body,)
+        return f"(lambda ({params}) " + " ".join(map(show, forms)) + ")"
     if isinstance(core, DefineExpr):
         return f"(define {core.name.name} {show(core.expr)})"
     if isinstance(core, BeginExpr):
@@ -415,23 +417,23 @@ def address(node):
 
 def test_references_are_classed_by_depth():
     core = core_of("(lambda (a) (lambda (b) (lambda (c) (f a b c g))))")
-    app = core.body[0].body[0].body[0]
+    app = core.body.body.body
     assert [address(node) for node in (app.op,) + app.args] == [
         GlobalRef, (VarRef, 2, 1), (VarRef, 1, 1), (VarRef, 0, 1), GlobalRef]
     # a body define's slot is local too
     core = core_of("(lambda () (define d 1) d)")
-    assert address(core.body[1]) == (VarRef, 0, 1)
+    assert address(core.body.body[1]) == (VarRef, 0, 1)
     # without the global table, references are still classed
     core = parse_core(datum("(lambda (a) (+ a b))"), {})
-    assert [address(node) for node in (core.body[0].op,) + core.body[0].args] \
+    assert [address(node) for node in (core.body.op,) + core.body.args] \
         == [GlobalRef, (VarRef, 0, 1), GlobalRef]
-    assert type(core.body[0]) is AppExpr
+    assert type(core.body) is AppExpr
 
 
 def test_inline_primitive_applications_are_classed_by_operand_count():
     core = core_of("(lambda (x) (list (car x) (+ x 1) (list) (list 1 2 3) "
                    "(not (= x (car x)))))")
-    app = core.body[0]
+    app = core.body
     assert type(app) is PrimAppN
     assert [type(arg) for arg in app.args] == [
         PrimApp1, PrimApp2, PrimAppN, PrimAppN, PrimApp1]
@@ -441,31 +443,31 @@ def test_inline_primitive_applications_are_classed_by_operand_count():
 def test_other_applications_of_primitives_are_prim_calls():
     core = core_of("(lambda (x) (begin (display x) (+ 1 (f x)) "
                    "(car (choose x 1))))")
-    assert [type(node) for node in core.body[0].body] == [
+    assert [type(node) for node in core.body.body] == [
         PrimCall, PrimCall, PrimCall]
-    assert core.body[0].body[1].prim.name == "+"
+    assert core.body.body[1].prim.name == "+"
 
 
 def test_applications_left_generic():
     # a closure, a local operator, a wrong arity, a control primitive
     core = core_of("(lambda (car) (list (f 1) (car 1) (cdr 1 2) "
                    "(apply f '())))")
-    assert type(core.body[0]) is PrimCall
-    assert [type(arg) for arg in core.body[0].args] == [AppExpr] * 4
-    assert all(arg.prim is None for arg in core.body[0].args)
+    assert type(core.body) is PrimCall
+    assert [type(arg) for arg in core.body.args] == [AppExpr] * 4
+    assert all(arg.prim is None for arg in core.body.args)
 
 
 def test_require_in_a_body_before_its_last_form_is_a_statement():
     core = core_of("(lambda (x) (require x) (require (car x)) "
                    "(list (require x)) (require x))")
-    assert [type(node) for node in core.body] == [
+    assert [type(node) for node in core.body.body] == [
         RequireStmt, RequireStmt, PrimApp1, PrimApp1]
-    assert type(core.body[2].args[0]) is PrimApp1
+    assert type(core.body.body[2].args[0]) is PrimApp1
     core = core_of("(begin (require #t) (cond (#t (require #t) 1)) "
                    "(let ((y 1)) (require y) (require (f y)) y))")
     assert type(core.body[0]) is RequireStmt
     assert type(core.body[1].then.body[0]) is RequireStmt
-    let_body = core.body[2].op.body
+    let_body = core.body[2].op.body.body
     assert [type(node) for node in let_body] == [
         RequireStmt, PrimCall, VarRef]
     assert (let_body[2].depth, let_body[2].index) == (0, 1)
