@@ -24,8 +24,8 @@ again.
 # the compiled code reads this module's names, some imported only for it
 from .errors import EvalError
 from .forms import (
-    _INLINE, AppExpr, BeginExpr, IfExpr, LambdaExpr, Literal, PrimAppN,
-    PrimCall, RequireStmt, VarRef,
+    _INLINE, AppExpr, BeginExpr, IfExpr, LambdaExpr, Literal, PrimApp1,
+    PrimAppN, PrimCall, VarRef,
 )
 from .machine import (
     _enter, _eval_operands, apply_cont, apply_proc, cont_begin, invoke_fail,
@@ -265,7 +265,10 @@ class _Code:
                                       i + 1, "env", k)
                         node = form
                         break
-                    if type(form) is RequireStmt:
+                    # a dropped `require` fails without raising; known by
+                    # name, as a profiler may wrap the primitive's `fn`
+                    if (type(form) is PrimApp1
+                            and form.prim.name == "require"):
                         self.guards[form.op.name, form.prim] = None
                         code.append(f"{pad}if {self.value(form.args[0], pad)}"
                                     " is False: return invoke_fail(m)")

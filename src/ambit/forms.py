@@ -36,9 +36,8 @@ a `GlobalRef`, and a local one stays a `VarRef`.  An application whose
 operator is a global holding an ordinary primitive of fitting arity gets it
 in `AppExpr.prim`: with a pure primitive and operands all computed inline
 it is computed inline too (`PrimApp1`, `PrimApp2`, `PrimAppN`, by operand
-count), else it is a `PrimCall`.  An inline `(require e)` before the last
-form of a body is a `RequireStmt`, whose value is dropped.  The machine
-compiles the body of a lambda it has entered often.
+count), else it is a `PrimCall`.  The machine compiles the body of a lambda
+it has entered often.
 """
 
 from . import syntax
@@ -161,7 +160,6 @@ GlobalRef = _node_class("GlobalRef", VarRef)
 PrimAppN = _node_class("PrimAppN", AppExpr)
 PrimApp1 = _node_class("PrimApp1", PrimAppN)
 PrimApp2 = _node_class("PrimApp2", PrimAppN)
-RequireStmt = _node_class("RequireStmt", PrimApp1)
 PrimCall = _node_class("PrimCall", AppExpr)
 
 # `(begin)`, a one-armed `if`'s `alt` and the end of a `cond`'s chain of ifs
@@ -214,9 +212,7 @@ class _Scope:
 
     The top-level scope has no slots.  All scopes of one top-level form share
     its macro table, its source name, the list of (VarRef, scope) pairs
-    still to resolve and the list of applications with a named operator and
-    of the bodies of several forms (tuples), each after the applications
-    within it.
+    still to resolve and the list of applications with a named operator.
     """
 
     __slots__ = ("slots", "parent", "refs", "apps", "macros", "source")
@@ -240,10 +236,7 @@ class _Scope:
                           len(self.slots) - len(params) - (rest is not None))
 
     def begin(self, body):
-        if len(body) == 1:
-            return body[0]
-        self.apps.append(body)
-        return BeginExpr(body)
+        return body[0] if len(body) == 1 else BeginExpr(body)
 
     def define(self, name, init):
         # a parameter of the same name keeps its slot
@@ -274,11 +267,6 @@ def parse_core(form, macros, source="<input>", global_table=None):
     # lets reference counting free the scopes
     top.refs.clear()
     for app in top.apps if global_table is not None else ():
-        if type(app) is tuple:
-            for node in app[:-1]:
-                if type(node) is PrimApp1 and node.prim.name == "require":
-                    node.__class__ = RequireStmt
-            continue
         prim = global_table.get(app.op.name)
         na = len(app.args)
         if (type(prim) is not Primitive or prim.control

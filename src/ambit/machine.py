@@ -41,8 +41,8 @@ run once never compiles.
 which unwinds whatever handler was computing it to the trampoline, and the
 trampoline resumes the most recent choice point.  A value is always
 computed before anything is assigned from it, so the unwinding leaves
-nothing half done, and `Backtrack` never leaves `trampoline`.  A body's
-loop resumes the choice point itself for a `RequireStmt`, raising nothing.
+nothing half done, and `Backtrack` never leaves `trampoline`.  Only compiled
+code resumes the choice point without raising (see `compiler`).
 """
 
 import sys
@@ -51,8 +51,8 @@ from . import syntax
 from .errors import EvalError, SchemeError
 from .forms import (
     AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
-    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, RequireStmt, SetExpr,
-    VarRef, parse_core,
+    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, SetExpr, VarRef,
+    parse_core,
 )
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
@@ -89,14 +89,14 @@ class Machine:
         self.value_reg = None
         self.k_reg = None
         self.fields_reg = None
-        self.final_reg = None
         self.fail_reg = TERMINAL_FAIL
         self.globals = {}
         self.macros = {}
         self.trace = TraceStack(enabled=stack_trace)
         self.stdout = stdout if stdout is not None else sys.stdout
         self.cont_allocations = 0
-        self.halt = self.make_cont(_halt)
+        # delivering to it clears `pc`, which ends the trampoline
+        self.halt = self.make_cont(None)
         from .primitives import BOOT_SOURCE, install_primitives
 
         install_primitives(self.globals)
@@ -108,7 +108,7 @@ class Machine:
         return Cont(label, fields, self.trace.spine)
 
     def trampoline(self):
-        """Run handlers until `pc` clears, then return the final register.
+        """Run handlers until `pc` clears, then return the value register.
         A `Backtrack` from a handler resumes the most recent choice point."""
         try:
             while True:
@@ -117,7 +117,7 @@ class Machine:
                     while pc is not None:
                         pc(self)
                         pc = self.pc
-                    return self.final_reg
+                    return self.value_reg
                 except Backtrack:
                     invoke_fail(self)
         except SchemeError as err:
@@ -179,11 +179,6 @@ def apply_cont(m, k, value):
     m.value_reg = value
     m.fields_reg = k.fields
     m.pc = k.label
-
-
-def _halt(m):
-    m.final_reg = m.value_reg
-    m.pc = None
 
 
 def _run(m):
@@ -269,17 +264,6 @@ def _prim_app_val(app, m, env):
     return prim.fn(m, tuple(args))
 
 
-# what a `RequireStmt` gives for a false test, so its body backtracks
-_FAIL = object()
-
-
-def _require_stmt_val(app, m, env):
-    if m.globals.get(app.op.name) is not app.prim:
-        return _STEP
-    test = app.args[0].val(m, env)
-    return _FAIL if test is False else test
-
-
 def _app_run(app, m, env, k):
     op = app.op
     proc = op.val(m, env)
@@ -293,7 +277,6 @@ AppExpr.run = _app_run
 PrimAppN.val = _prim_app_val
 PrimApp1.val = _prim_app1_val
 PrimApp2.val = _prim_app2_val
-RequireStmt.val = _require_stmt_val
 
 # closure entries after which a lambda's body is compiled
 _HOT_ENTRIES = 1000
@@ -447,12 +430,8 @@ def _run_body(m, body, i, env, k):
     while i < last:
         exp = body[i]
         i += 1
-        value = exp.val(m, env)
-        if value is _STEP:
+        if exp.val(m, env) is _STEP:
             exp.run(m, env, m.make_cont(cont_begin, body, i, env, k))
-            return
-        if value is _FAIL:
-            invoke_fail(m)
             return
     body[last].run(m, env, k)
 

@@ -2,12 +2,12 @@
 path they short-cut.
 
 Every fast path (inline references and primitive applications, `PrimCall`,
-the statement `require`, a lambda's body compiled once it is hot) is
-guarded by a check that the operator's global still holds the primitive
-`parse_core` saw.  A machine whose primitives are all rebound to wrapper
-closures before the program is parsed takes the stepped path everywhere,
-so it is an oracle for the fast paths.  A machine whose lambdas count as
-hot from their first entry runs compiled code wherever it can.
+a lambda's body compiled once it is hot) is guarded by a check that the
+operator's global still holds the primitive `parse_core` saw.  A machine
+whose primitives are all rebound to wrapper closures before the program is
+parsed takes the stepped path everywhere, so it is an oracle for the fast
+paths.  A machine whose lambdas count as hot from their first entry runs
+compiled code wherever it can.
 """
 
 import io
@@ -27,7 +27,7 @@ from helpers import (
 import ambit.compiler
 import ambit.machine
 from ambit import Machine, SchemeError, intern, read_all, write_value
-from ambit.forms import BeginExpr, RequireStmt
+from ambit.forms import BeginExpr, PrimApp1
 from ambit.trace import render_traceback
 from ambit.values import (
     BY_IDENTITY, NIL, VOID, Cont, Pair, Primitive, equal, eqv, list_from,
@@ -201,7 +201,7 @@ def test_rebinding_plus_after_a_definition_that_uses_it(machine):
 
 def test_rebinding_require_after_a_definition_that_uses_it(machine):
     ev(machine, "(define g (lambda (x) (require x) 'ok))")
-    assert type(machine.globals[intern("g")].lam.body.body[0]) is RequireStmt
+    assert type(machine.globals[intern("g")].lam.body.body[0]) is PrimApp1
     assert ev(machine, "(g #f)") == "no more choices"
     ev(machine, "(define require (lambda (x) (display 'called)))")
     assert ev(machine, "(g #f)") is intern("ok")
@@ -225,7 +225,7 @@ def test_statement_require_resumes_with_the_choice_points_spine(machine):
         "spine-here", spine_here, 0, 0)
     ev(machine, "(define check (lambda (x) (require (> x 1)) x))")
     check = machine.globals[intern("check")]
-    assert type(check.lam.body.body[0]) is RequireStmt
+    assert type(check.lam.body.body[0]) is PrimApp1
     ev(machine, "(define f (lambda (n) (check (begin (spine-here) "
                 "(choose 1 (begin (spine-here) 2))))))")
     assert ev(machine, "(f 0)") == 2
@@ -490,6 +490,9 @@ def test_a_choose_operand_of_a_compiled_body_is_exhausted():
      "(outer 1)", "UnboundVariable: nowhere"),
     (["(define f (lambda (x) (memq x (list x elsewhere))))"], "(outer 1)",
      "UnboundVariable: elsewhere"),
+    # an inline form before the body's last is computed, though dropped
+    (["(define f (lambda (x) (car x) x))"], "(outer 5)",
+     "car: expected a pair, got 5"),
 ])
 def test_errors_in_compiled_bodies_keep_message_and_frames(forms, call, line):
     (error, frames), machine = compiled_and_stepped(
@@ -567,6 +570,66 @@ def test_compiled_scans_among_stepped_subforms_make_the_same_continuations():
          "(list y (member x (list 'a (choose 'b 'c)))))))"], "(f 'a)")
     assert values == ["(b (a b))", "(b (a c))"]
     assert compiled(body(machine, "f")[0].op.body)
+
+
+def test_a_compiled_statement_require_fails_without_calling_its_primitive():
+    # compiled code tests a statement `require`'s value itself, where the
+    # stepped path calls the primitive, which raises `Backtrack` on #f
+    def run(entries):
+        with hot_after(entries):
+            machine = Machine(stdout=io.StringIO())
+            prim, calls = machine.globals[intern("require")], []
+            plain = prim.fn
+            # the same `Primitive`, so the compiled guard still passes
+            prim.fn = lambda m, args: calls.append(args) or plain(m, args)
+            ev(machine, "(define g (lambda (x) (require (> x 0)) (display x) "
+                        "(vector-ref (vector x) (- x 1))))")
+            ev(machine, "(define outer (lambda (x) (list (g x))))")
+            values = [write_value(value)
+                      for value in exhaust(machine, "(outer (choose 0 1 0))")]
+            with pytest.raises(SchemeError) as excinfo:
+                ev(machine, "(outer (choose 0 0 5))")
+            return ((values, excinfo.value.error_line(), excinfo.value.frames,
+                     machine.stdout.getvalue(), machine.cont_allocations),
+                    len(calls), compiled_body(machine, "g"))
+
+    hot, hot_calls, fused = run(1)
+    cold, cold_calls, stepped = run(10 ** 9)
+    assert hot == cold
+    values, error, frames, out, _ = hot
+    assert values == ["(1)", '"no more choices"']
+    assert error == "vector-ref: index 4 out of range for length 1"
+    assert [frame[0] for frame in frames] == ["outer", "g"] and out == "15"
+    assert fused and not stepped
+    assert (hot_calls, cold_calls) == (0, 6)
+
+
+# --- paths the tests above leave unreached ----------------------------------
+
+
+@pytest.mark.parametrize("forms, call, want, out", [
+    # a `set!` whose value needs the machine, of a local and of a global
+    (["(define n 0)", "(define f (lambda (x) (display x) (+ x 1)))",
+      "(define g (lambda (x) (set! x (f x)) (set! n (f x)) (list x n)))"],
+     "(list (g 1) n)", "((2 3) 3)", "12"),
+    # an inline form before a body's last, computed and dropped
+    (["(define f (lambda (x) (car x) (display (cdr x)) (cadr x)))"],
+     "(f '(1 2))", "2", "(2)"),
+    # `car` rebound to a closure among the inline operands of `not`, of
+    # each operand of `+` and of a `+` of three
+    (["(define f (lambda (x) "
+      "(list (not (car x)) (+ (car x) 1) (+ 1 (car x)) (+ 1 2 (car x)))))",
+      "(f '(5))", "(define car (lambda (p) (display 'c) 7))"],
+     "(f '(5))", "(#f 8 8 10)", "cccc"),
+    # a macro whose template holds a vector
+    (["(define-syntax vec-of [(vec-of ?a ?b) (quasiquote #((unquote ?a) ?b))])",
+      "(define f (lambda (x) (display (vec-of (+ x 1) x)) x))"],
+     "(f 1)", "1", "#(2 x)"),
+])
+def test_rarely_taken_paths_agree_compiled_and_stepped(forms, call, want, out):
+    values, machine = compiled_and_stepped(forms, call)
+    assert values == [want]
+    assert machine.stdout.getvalue() == out
 
 
 # --- return points, call-site caches, fixnums and looping return chains -----
@@ -1060,7 +1123,9 @@ def machine_run(forms, entries):
         return values, machine.stdout.getvalue(), error
 
 
-@settings(max_examples=200, deadline=None)
+# generation stops at the first failing example: on a machine that loops,
+# every further one would run until the 20 s watchdog
+@settings(max_examples=200, deadline=None, report_multiple_bugs=False)
 @given(reference_programs())
 @example(["(define ap (lambda (f x) (f x)))", "(define h (lambda (x) x))",
           "(+ (ap (lambda (a) (* a 2)) 3) (ap (lambda (b) (+ b 1)) 3))"])

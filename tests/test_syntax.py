@@ -12,8 +12,8 @@ from ambit import Machine, Pair, Symbol, equal, intern, read_all, write_value
 from ambit.errors import FormError, MacroError
 from ambit.forms import (
     AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
-    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, PrimCall, RequireStmt,
-    VarRef, parse_core,
+    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, PrimCall, VarRef,
+    parse_core,
 )
 from ambit.syntax import (
     MacroClause, define_macro, expand, instantiate, match_pattern,
@@ -457,17 +457,17 @@ def test_applications_left_generic():
     assert all(arg.prim is None for arg in core.body.args)
 
 
-def test_require_in_a_body_before_its_last_form_is_a_statement():
+def test_require_in_a_body_before_its_last_form_is_an_inline_application():
     core = core_of("(lambda (x) (require x) (require (car x)) "
                    "(list (require x)) (require x))")
     assert [type(node) for node in core.body.body] == [
-        RequireStmt, RequireStmt, PrimApp1, PrimApp1]
+        PrimApp1, PrimApp1, PrimApp1, PrimApp1]
     assert type(core.body.body[2].args[0]) is PrimApp1
     core = core_of("(begin (require #t) (cond (#t (require #t) 1)) "
                    "(let ((y 1)) (require y) (require (f y)) y))")
-    assert type(core.body[0]) is RequireStmt
-    assert type(core.body[1].then.body[0]) is RequireStmt
+    assert type(core.body[0]) is PrimApp1
+    assert type(core.body[1].then.body[0]) is PrimApp1
     let_body = core.body[2].op.body.body
     assert [type(node) for node in let_body] == [
-        RequireStmt, PrimCall, VarRef]
+        PrimApp1, PrimCall, VarRef]
     assert (let_body[2].depth, let_body[2].index) == (0, 1)
