@@ -12,22 +12,12 @@ import sys
 from .errors import LexError, ParseError, SchemeError
 from .machine import Machine
 from .reader import EntryReader, read_all
-from .trace import DEFAULT_MAX_FRAMES, render_traceback
+from .trace import render_traceback
 from .values import VOID
 from .writer import write_value
 
 PROMPT = "==> "
 CONT_PROMPT = "... "
-
-
-class CliConfig:
-    __slots__ = ("mode", "path", "expr", "stack_trace")
-
-    def __init__(self, mode, path=None, expr=None, stack_trace=True):
-        self.mode = mode
-        self.path = path
-        self.expr = expr
-        self.stack_trace = stack_trace
 
 
 def parse_args(argv):
@@ -43,17 +33,10 @@ def parse_args(argv):
                         help="start with stack tracing disabled")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {_version()}")
-    ns = parser.parse_args(argv)
-    if ns.expr is not None and ns.file is not None:
+    args = parser.parse_args(argv)
+    if args.expr is not None and args.file is not None:
         parser.error("cannot combine -e with a file argument")
-    if ns.expr is not None:
-        mode = "eval-string"
-    elif ns.file is not None:
-        mode = "run-file"
-    else:
-        mode = "repl"
-    return CliConfig(mode, path=ns.file, expr=ns.expr,
-                     stack_trace=not ns.no_stack_trace)
+    return args
 
 
 def _version():
@@ -73,7 +56,7 @@ def _print_result(value, out):
 
 
 def _report_error(err, errout):
-    errout.write(render_traceback(None, err, DEFAULT_MAX_FRAMES) + "\n")
+    errout.write(render_traceback(None, err) + "\n")
     errout.flush()
 
 
@@ -149,12 +132,12 @@ def eval_string(machine, text, stdout=None, stderr=None):
 
 
 def main(argv=None):
-    config = parse_args(sys.argv[1:] if argv is None else argv)
-    machine = Machine(stack_trace=config.stack_trace)
-    if config.mode == "run-file":
-        return run_file(machine, config.path)
-    if config.mode == "eval-string":
-        return eval_string(machine, config.expr)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    machine = Machine(stack_trace=not args.no_stack_trace)
+    if args.file is not None:
+        return run_file(machine, args.file)
+    if args.expr is not None:
+        return eval_string(machine, args.expr)
     return repl_loop(machine)
 
 

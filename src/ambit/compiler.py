@@ -5,7 +5,7 @@ handlers would step through, written out.
 `machine._HOT_ENTRIES` times; `compile_site` compiles an application's
 return points (Appel 1992) once the stepped path has resumed its operand
 continuations that often.  Inline values are Python expressions: `not`,
-`null?`, `list` (`Primitive.inline`), a scan for `(member x (list …))`
+`null?`, `list` (`primitives._EXPRESSION`), a scan for `(member x (list …))`
 (`primitives._SCAN`), and `+ - = < >` on fixnums while the primitive keeps
 its `fn` (`primitives._FIXNUM`).  The continuations the stepped path makes
 get its fields and a handler written for their position, which runs the
@@ -25,12 +25,12 @@ again.
 from .errors import EvalError
 from .forms import (
     _INLINE, AppExpr, BeginExpr, IfExpr, LambdaExpr, Literal, PrimApp1,
-    PrimAppN, PrimCall, VarRef,
+    PrimAppN, VarRef,
 )
 from .machine import (
     _enter, _eval_operands, apply_cont, apply_proc, cont_begin, invoke_fail,
 )
-from .primitives import _FIXNUM, _SCAN
+from .primitives import _EXPRESSION, _FIXNUM, _SCAN
 from .values import (
     BY_IDENTITY, INT64_MAX, INT64_MIN, NIL, UNASSIGNED, Closure, Cont, Pair,
 )
@@ -147,7 +147,7 @@ class _Code:
         code.params = self.params
         xs = [code.value(arg, "") if type(arg) is Literal else f"a{j}"
               for j, arg in enumerate(app.args[:i - 1])]
-        loop = type(app) is PrimCall and all(
+        loop = app.prim and all(
             isinstance(arg, _INLINE) for arg in app.args[i:])
         pad = "        " if loop else "    "
         step = code.operands(app, "proc", i, [*xs, "v"], "k", pad,
@@ -160,7 +160,7 @@ class _Code:
             f"{label}(m)",
             f"_eval_operands(m, proc, app, i, ({_items(xs)}v, ), env, k)",
             (_LOOP if loop else _RETURN).format(fields=fields), pad,
-            [f"proc is not {self.name(app.prim)}"] * (type(app) is PrimCall))
+            [f"proc is not {self.name(app.prim)}"] * bool(app.prim))
 
     def value(self, root, pad):
         """Compute inline `root`, one temporary per node in the stepped
@@ -205,9 +205,10 @@ class _Code:
                 if test:
                     results.append(self.scan(node, test, xs, pad))
                     continue
-                if node.prim.inline and len(xs) <= _WIDE:
+                build = _EXPRESSION.get(node.prim.name)
+                if build and len(xs) <= _WIDE:
                     # a longer chain of nested calls could strain the compiler
-                    value = node.prim.inline(xs)
+                    value = build(xs)
                 else:
                     value = self.apply(node.prim, xs, temp)
                 code.append(f"{pad}{temp} = {value}")
@@ -236,7 +237,7 @@ class _Code:
         """Write `node` as the scan `_SCAN` gives it, of target `xs[0]` over
         items `xs[1:]`, which a symbol target needs no `test` for
         (`BY_IDENTITY`); gives its temporary."""
-        code, build = self.lines, node.args[-1].prim.inline
+        code, build = self.lines, _EXPRESSION[node.args[-1].prim.name]
         x, ys, temp, test = xs[0], xs[1:], f"t{len(code)}", self.name(test)
         code.append(f"{pad}{temp} = type({x}) is BY_IDENTITY")
         for i, y in enumerate(ys):
@@ -276,7 +277,7 @@ class _Code:
                         self.value(form, pad)
             elif (isinstance(node, AppExpr) and isinstance(node.op, _INLINE)
                   and len(node.args) <= _WIDE):
-                if type(node) is PrimCall:
+                if node.prim:
                     self.guards[node.op.name, node.prim] = None
                     proc = self.name(node.prim)
                 else:
@@ -307,7 +308,7 @@ class _Code:
                                       f"({_items(xs)})", "env", k)
             xs.append(self.value(arg, pad))
         temp = f"t{len(code)}"
-        if type(app) is PrimCall:
+        if app.prim:
             code.append(f"{pad}{temp} = {self.apply(app.prim, xs, temp)}")
             end = (_TURN.format(k=k, label=loop, t=temp) if loop else
                    f"return apply_cont(m, {k}, {temp})")

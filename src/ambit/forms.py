@@ -36,8 +36,7 @@ a `GlobalRef`, and a local one stays a `VarRef`.  An application whose
 operator is a global holding an ordinary primitive of fitting arity gets it
 in `AppExpr.prim`: with a pure primitive and operands all computed inline
 it is computed inline too (`PrimApp1`, `PrimApp2`, `PrimAppN`, by operand
-count), else it is a `PrimCall`.  The machine compiles the body of a lambda
-it has entered often.
+count).  The machine compiles the body of a lambda it has entered often.
 """
 
 from . import syntax
@@ -160,7 +159,6 @@ GlobalRef = _node_class("GlobalRef", VarRef)
 PrimAppN = _node_class("PrimAppN", AppExpr)
 PrimApp1 = _node_class("PrimApp1", PrimAppN)
 PrimApp2 = _node_class("PrimApp2", PrimAppN)
-PrimCall = _node_class("PrimCall", AppExpr)
 
 # `(begin)`, a one-armed `if`'s `alt` and the end of a `cond`'s chain of ifs
 _VOID = Literal(VOID)
@@ -274,8 +272,8 @@ def parse_core(form, macros, source="<input>", global_table=None):
                 or prim.max_args is not None and na > prim.max_args):
             continue
         app.prim = prim
-        inline = prim.pure and all(isinstance(a, _INLINE) for a in app.args)
-        app.__class__ = _PRIM_APPS.get(na, PrimAppN) if inline else PrimCall
+        if prim.pure and all(isinstance(a, _INLINE) for a in app.args):
+            app.__class__ = _PRIM_APPS.get(na, PrimAppN)
     return core
 
 
@@ -344,8 +342,6 @@ def _parse_pair(form, scope):
         if head is _S_BEGIN:
             if len(items) == 1:
                 return _VOID
-            if len(items) == 2:
-                return _parse(items[1], scope)
             return scope.begin(tuple(_parse(b, scope) for b in items[1:]))
         if head is _S_AND or head is _S_OR:
             return _parse_and_or(head, items[1:], scope)
@@ -436,7 +432,7 @@ def _parse_let(form, items, scope):
     names = [name for name, _ in pairs]
     # a named let has a symbol where its bindings belong
     if tail is not NIL or len(pairs) != len(bindings) or (
-            head is _S_LET and len(set(names)) != len(names)):
+            head is not _S_LET_STAR and len(set(names)) != len(names)):
         raise _bad(form, f"malformed {head.name}")
     # let* opens one scope per binding here and closes them inside out
     # below, so its subforms are parsed in the order nested lets would give

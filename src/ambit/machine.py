@@ -19,8 +19,8 @@ a `val(m, env)` method, which returns the form's value when it has no
 observable evaluation steps and `_STEP` when it needs the machine.  The
 classes `parse_core` picks have their own: a `GlobalRef` reads its symbol
 from the global table, and a `PrimApp1`, `PrimApp2` or `PrimAppN` calls its
-primitive inline, as a `PrimCall` does once its operands are in, while the
-operator's global still holds it.
+primitive inline, as any application with a `prim` does once its operands
+are in, while the operator's global still holds it.
 A `run` descends only into the subforms of its own form, and follows the
 chain of ifs a `cond`, `and` or `or` becomes in a loop.  `call/cc` is a
 control primitive (see `primitives`), so there are nine core forms: the
@@ -324,7 +324,7 @@ def _eval_operands(m, proc, app, i, acc, env, k):
     if values is not acc:
         acc = tuple(values)
     if proc is app.prim:
-        # a `PrimCall`'s primitive, computed before `k`'s spine is current
+        # `parse_core`'s primitive, computed before `k`'s spine is current
         apply_cont(m, k, proc.fn(m, acc))
     else:
         apply_proc(m, proc, acc, k, app)

@@ -16,7 +16,7 @@ from .machine import Backtrack, apply_proc
 from .reader import _INF_NAN, _INT_RE, _REAL_RE
 from .values import (
     INT64_MAX, INT64_MIN, NIL, VOID, Closure, Cont, Pair, Primitive, Symbol,
-    eq, equal, eqv, intern, list_from, to_pylist,
+    eq, equal, eqv, intern, is_proper_list, list_from, to_pylist,
 )
 from .writer import display_value, write_value
 
@@ -31,7 +31,7 @@ _IMPURE = frozenset({
 # What compiled code computes in place of a call, by name: the operands'
 # Python expressions in, an expression (which may name `Pair` and `NIL`)
 # out.
-_INLINE = {}
+_EXPRESSION = {}
 
 # The calls compiled code writes as a scan when their list operand is an
 # inline call, by (operator, producer): the test each of the producer's
@@ -44,8 +44,7 @@ def install_primitives(table):
     for name, fn, min_args, max_args, control in _PRIMITIVE_SPECS:
         table[intern(name)] = Primitive(
             name, fn, min_args, max_args, control=control,
-            pure=not control and name not in _IMPURE,
-            inline=_INLINE.get(name))
+            pure=not control and name not in _IMPURE)
     # one procedure under two names (R7RS 6.10)
     table[intern("call-with-current-continuation")] = table[intern("call/cc")]
 
@@ -112,7 +111,7 @@ def _prim_list(m, args):
     return list_from(args)
 
 
-_INLINE["list"] = lambda xs: (
+_EXPRESSION["list"] = lambda xs: (
     "".join(f"Pair({x}, " for x in xs) + "NIL" + ")" * len(xs))
 
 
@@ -175,7 +174,7 @@ def _prim_null_p(m, args):
     return args[0] is NIL
 
 
-_INLINE["null?"] = lambda xs: f"{xs[0]} is NIL"
+_EXPRESSION["null?"] = lambda xs: f"{xs[0]} is NIL"
 
 
 def _prim_pair_p(m, args):
@@ -183,10 +182,7 @@ def _prim_pair_p(m, args):
 
 
 def _prim_list_p(m, args):
-    node = args[0]
-    while isinstance(node, Pair):
-        node = node.cdr
-    return node is NIL
+    return is_proper_list(args[0])
 
 
 # --- arithmetic and comparison ------------------------------------------
@@ -377,11 +373,7 @@ def _prim_not(m, args):
     return args[0] is False
 
 
-_INLINE["not"] = lambda xs: f"{xs[0]} is False"
-
-
-def _prim_eq_p(m, args):
-    return eq(args[0], args[1])
+_EXPRESSION["not"] = lambda xs: f"{xs[0]} is False"
 
 
 def _prim_eqv_p(m, args):
@@ -648,7 +640,7 @@ _PRIMITIVE_SPECS = [
     ("quotient", _prim_quotient, 2, 2, False),
     ("remainder", _prim_remainder, 2, 2, False),
     ("not", _prim_not, 1, 1, False),
-    ("eq?", _prim_eq_p, 2, 2, False),
+    ("eq?", _prim_eqv_p, 2, 2, False),
     ("eqv?", _prim_eqv_p, 2, 2, False),
     ("equal?", _prim_equal_p, 2, 2, False),
     ("number?", _prim_number_p, 1, 1, False),

@@ -100,22 +100,19 @@ class Primitive:
     delivered to the current continuation.  Control primitives are called as
     fn(machine, args, k) and set the machine registers themselves.  `pure`
     marks primitives with no I/O or mutation; the machine may evaluate those
-    inline in operand position.  `inline`, if set, maps the Python
-    expressions of the operands to one that computes what `fn` returns.
+    inline in operand position.
     """
 
-    __slots__ = ("name", "fn", "min_args", "max_args", "control", "pure",
-                 "inline")
+    __slots__ = ("name", "fn", "min_args", "max_args", "control", "pure")
 
     def __init__(self, name, fn, min_args, max_args, control=False,
-                 pure=False, inline=None):
+                 pure=False):
         self.name = name
         self.fn = fn
         self.min_args = min_args
         self.max_args = max_args
         self.control = control
         self.pure = pure
-        self.inline = inline
 
 
 class Cont:

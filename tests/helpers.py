@@ -6,6 +6,9 @@ machine's backtracking order.
 """
 
 import gc
+import math
+import operator
+import sys
 import threading
 import time
 from itertools import product
@@ -387,6 +390,8 @@ class _Escape:
 _UNASSIGNED = object()
 _VOID = object()
 _INT64 = (-(2 ** 63), 2 ** 63 - 1)
+# the programs `test_fast_paths` generates have needed up to 4,000
+_REFERENCE_FRAMES = 20_000
 
 
 def _checked(who, value):
@@ -402,14 +407,20 @@ def _quotient(a, b):
     return _checked("quotient", -q if (a < 0) != (b < 0) else q)
 
 
+def _chain(test):
+    return lambda *xs: all(map(test, xs, xs[1:]))
+
+
+# `+ - *` fold over Python ints and check the 64-bit range on the result
+# alone, as the interpreter does for other than two operands
 _REFERENCE_PRIMITIVES = {
-    "+": lambda a, b: _checked("+", a + b),
-    "-": lambda a, b: _checked("-", a - b),
-    "*": lambda a, b: _checked("*", a * b),
+    "+": lambda *xs: _checked("+", sum(xs)),
+    "-": lambda a, *xs: _checked("-", a - sum(xs) if xs else -a),
+    "*": lambda *xs: _checked("*", math.prod(xs)),
     "quotient": _quotient,
-    "=": lambda a, b: a == b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
+    "=": _chain(operator.eq),
+    "<": _chain(operator.lt),
+    ">": _chain(operator.gt),
     "not": lambda a: a is False,
 }
 
@@ -433,7 +444,17 @@ class Reference:
 
     def run(self, forms):
         """(solutions written, output, error line or None) of evaluating each
-        form and exhausting the last one's choices."""
+        form and exhausting the last one's choices.  The evaluator recurses
+        at each step until a choice fails, so it runs on a thread with room
+        for `_REFERENCE_FRAMES` Python frames."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_REFERENCE_FRAMES)
+        try:
+            return run_on_small_stack(lambda: self._run(forms), 64 << 20)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def _run(self, forms):
         values, error = [], None
         try:
             for form in forms[:-1]:

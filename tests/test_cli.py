@@ -18,13 +18,14 @@ def run_repl(input_text, stack_trace=True):
 
 
 def test_parse_args_modes():
-    assert parse_args([]).mode == "repl"
-    config = parse_args(["program.scm"])
-    assert config.mode == "run-file" and config.path == "program.scm"
-    config = parse_args(["-e", "(+ 1 2)"])
-    assert config.mode == "eval-string" and config.expr == "(+ 1 2)"
-    assert parse_args([]).stack_trace is True
-    assert parse_args(["--no-stack-trace"]).stack_trace is False
+    args = parse_args([])
+    assert args.file is None and args.expr is None
+    assert args.no_stack_trace is False
+    args = parse_args(["program.scm"])
+    assert args.file == "program.scm" and args.expr is None
+    args = parse_args(["-e", "(+ 1 2)"])
+    assert args.file is None and args.expr == "(+ 1 2)"
+    assert parse_args(["--no-stack-trace"]).no_stack_trace is True
 
 
 def test_parse_args_rejects_unknown_flag():

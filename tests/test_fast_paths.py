@@ -1,13 +1,13 @@
 """The class-specialised nodes and the compiled code against the stepped
 path they short-cut.
 
-Every fast path (inline references and primitive applications, `PrimCall`,
-a lambda's body compiled once it is hot) is guarded by a check that the
-operator's global still holds the primitive `parse_core` saw.  A machine
-whose primitives are all rebound to wrapper closures before the program is
-parsed takes the stepped path everywhere, so it is an oracle for the fast
-paths.  A machine whose lambdas count as hot from their first entry runs
-compiled code wherever it can.
+Every fast path (inline references and primitive applications, calls of a
+known primitive, a lambda's body compiled once it is hot) is guarded by a
+check that the operator's global still holds the primitive `parse_core`
+saw.  A machine whose primitives are all rebound to wrapper closures before
+the program is parsed takes the stepped path everywhere, so it is an oracle
+for the fast paths.  A machine whose lambdas count as hot from their first
+entry runs compiled code wherever it can.
 """
 
 import io
@@ -26,6 +26,7 @@ from helpers import (
 
 import ambit.compiler
 import ambit.machine
+import ambit.primitives
 from ambit import Machine, SchemeError, intern, read_all, write_value
 from ambit.forms import BeginExpr, PrimApp1
 from ambit.trace import render_traceback
@@ -477,7 +478,7 @@ def test_a_choose_operand_of_a_compiled_body_is_exhausted():
 
 
 @pytest.mark.parametrize("forms, call, line", [
-    # a tail call of the wrong arity, a `PrimCall` with its operands in,
+    # a tail call of the wrong arity, a known primitive with its operands in,
     # and one whose last operand returns to the compiled continuation
     (["(define g (lambda (a b) a))", "(define f (lambda (x) (g x)))"],
      "(outer 1)", "ArityError: g: expected 2 argument(s), got 1"),
@@ -898,8 +899,8 @@ def test_inline_expressions_agree_with_their_primitives(name, values):
     if name != "list":
         values = values[:1]
     names = [f"v{i}" for i in range(len(values))]
-    got = eval(prim.inline(names), {"Pair": Pair, "NIL": NIL,
-                                     **dict(zip(names, values))})
+    got = eval(ambit.primitives._EXPRESSION[name](names),
+               {"Pair": Pair, "NIL": NIL, **dict(zip(names, values))})
     want = prim.fn(None, tuple(values))
     if name != "list":
         assert got is want
@@ -996,10 +997,15 @@ def _ref_int(draw, names, depth, kinds=None):
     if kind == "set":
         name = draw(st.sampled_from(sorted(names)))
         return f"(begin (set! {name} {_ref_int(draw, names, sub)}) {name})"
-    if kind in ("arith", "quotient"):
-        op = "quotient" if kind == "quotient" else draw(st.sampled_from("+-*"))
-        return (f"({op} {_ref_int(draw, names, sub)} "
+    if kind == "quotient":
+        return (f"(quotient {_ref_int(draw, names, sub)} "
                 f"{_ref_int(draw, names, sub)})")
+    if kind == "arith":
+        # an operand past the second is a literal or a name, so a wide call
+        # multiplies the choices to exhaust no more than a narrow one does
+        count = draw(st.integers(1, 4))
+        return "({} {})".format(draw(st.sampled_from("+-*")), " ".join(
+            _ref_int(draw, names, sub if i < 2 else 0) for i in range(count)))
     if kind == "choose":
         return "(choose " + " ".join(
             _ref_int(draw, names, sub)
@@ -1048,8 +1054,9 @@ def _ref_bool(draw, names, depth):
         return draw(st.sampled_from(["#t", "#f"]))
     if kind == "not":
         return f"(not {_ref_bool(draw, names, max(depth - 1, 0))})"
-    return (f"({kind} {_ref_int(draw, names, max(depth - 1, 0))} "
-            f"{_ref_int(draw, names, max(depth - 1, 0))})")
+    return "({} {})".format(kind, " ".join(
+        _ref_int(draw, names, max(depth - 1, 0) if i < 2 else 0)
+        for i in range(draw(st.integers(2, 3)))))
 
 
 def _ref_body(draw, names, depth, defines=True):
@@ -1135,6 +1142,10 @@ def machine_run(forms, entries):
 @example(["(define ap (lambda (f x) (f x)))", "(define h (lambda (x) x))",
           "(let ((n 0) (kk 0)) (let ((v (+ (choose 1 2) (call/cc (lambda (kc) "
           "(set! kk kc) 5))))) (set! n (+ n 1)) (if (< n 3) (kk n) v)))"])
+# inline applications of three operands, whose order the reference checks
+@example(["(define ap (lambda (f x) (f x)))",
+          "(define h (lambda (x) (- 9 x (* 2 x 3))))",
+          "(+ (h (choose 1 2)) (ap (lambda (a) (require (< a 5 9)) a) 4))"])
 def test_the_machine_agrees_with_the_reference_evaluator(forms):
     want = Reference().run(forms)
     assert machine_run(forms, 10 ** 9) == want

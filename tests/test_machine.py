@@ -186,6 +186,8 @@ def test_cond_clauses(machine):
 def test_let_family(machine):
     assert ev(machine, "(let ((x 1) (y 2)) (+ x y))") == 3
     assert ev(machine, "(let* ((x 1) (y (+ x 1))) (* x y))") == 2
+    # R7RS lets let* bind a name twice, each binding in its own scope
+    assert ev(machine, "(let* ((x 1) (x (+ x 1))) x)") == 2
     assert ev(machine, """
         (letrec ((even? (lambda (n) (if (= n 0) #t (odd? (- n 1)))))
                  (odd? (lambda (n) (if (= n 0) #f (even? (- n 1))))))
@@ -216,6 +218,7 @@ def test_let_family_is_built_in(machine):
     "(let x)", "(let (x) x)", "(let ((x)) x)", "(let ((1 2)) 3)",
     "(let ((x 1) (x 2)) x)", "(letrec ((x)) 1)", "(let* ((x 1) . 2) x)",
     "(let loop ((i 0)) i)", "(let ())", "(let* ())", "(letrec ())",
+    "(letrec ((x 1) (x 2)) x)",
 ])
 def test_malformed_let_family_reported_at_the_form(machine, text):
     with pytest.raises(FormError) as excinfo:

@@ -12,7 +12,7 @@ from ambit import Machine, Pair, Symbol, equal, intern, read_all, write_value
 from ambit.errors import FormError, MacroError
 from ambit.forms import (
     AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
-    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, PrimCall, VarRef,
+    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, VarRef,
     parse_core,
 )
 from ambit.syntax import (
@@ -443,16 +443,16 @@ def test_inline_primitive_applications_are_classed_by_operand_count():
 def test_other_applications_of_primitives_are_prim_calls():
     core = core_of("(lambda (x) (begin (display x) (+ 1 (f x)) "
                    "(car (choose x 1))))")
-    assert [type(node) for node in core.body.body] == [
-        PrimCall, PrimCall, PrimCall]
-    assert core.body.body[1].prim.name == "+"
+    assert [type(node) for node in core.body.body] == [AppExpr] * 3
+    assert [node.prim.name for node in core.body.body] == [
+        "display", "+", "car"]
 
 
 def test_applications_left_generic():
     # a closure, a local operator, a wrong arity, a control primitive
     core = core_of("(lambda (car) (list (f 1) (car 1) (cdr 1 2) "
                    "(apply f '())))")
-    assert type(core.body) is PrimCall
+    assert type(core.body) is AppExpr and core.body.prim.name == "list"
     assert [type(arg) for arg in core.body.args] == [AppExpr] * 4
     assert all(arg.prim is None for arg in core.body.args)
 
@@ -469,5 +469,6 @@ def test_require_in_a_body_before_its_last_form_is_an_inline_application():
     assert type(core.body[1].then.body[0]) is PrimApp1
     let_body = core.body[2].op.body.body
     assert [type(node) for node in let_body] == [
-        PrimApp1, PrimCall, VarRef]
+        PrimApp1, AppExpr, VarRef]
+    assert let_body[1].prim.name == "require"
     assert (let_body[2].depth, let_body[2].index) == (0, 1)
