@@ -9,6 +9,7 @@ semantics, except top-level strings which display bare (matching how the
 import argparse
 import sys
 
+from . import __version__
 from .errors import LexError, ParseError, SchemeError
 from .machine import Machine
 from .reader import EntryReader, read_all
@@ -32,17 +33,11 @@ def parse_args(argv):
     parser.add_argument("--no-stack-trace", action="store_true",
                         help="start with stack tracing disabled")
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {_version()}")
+                        version=f"%(prog)s {__version__}")
     args = parser.parse_args(argv)
     if args.expr is not None and args.file is not None:
         parser.error("cannot combine -e with a file argument")
     return args
-
-
-def _version():
-    from . import __version__
-
-    return __version__
 
 
 def _print_result(value, out):
@@ -111,8 +106,7 @@ def run_file(machine, path, stderr=None):
         stderr.write(f"ambit: cannot read {path}: {err.strerror}\n")
         return 1
     try:
-        for datum in read_all(text):
-            machine.eval_top(datum, path)
+        machine.eval_source(text, path)
     except SchemeError as err:
         _report_error(err, stderr)
         return 1

@@ -5,9 +5,9 @@ class SchemeError(Exception):
     """Base class for every error surfaced to Scheme code or the CLI.
 
     `label` is the prefix of the rendered error line (e.g. "UnboundVariable"
-    or the name of the primitive that failed).  When the error escapes a
-    running trampoline the machine keeps the trace spine that was current in
-    `spine` (see `trace`); nothing is copied then.
+    or the name of the primitive that failed).  When an evaluation fails,
+    `Machine.eval_top` keeps the trace spine that was current in `spine`
+    (see `trace`); nothing is copied then.
     """
 
     def __init__(self, label, message, line=None, col=None):

@@ -11,6 +11,7 @@ derived forms are lowered to the core ones (R7RS 7.3): `and`, `or` and
 b)` is `(if a b #f)`, as the paper's `and` macro gives it; `(or a b)` is an
 `IfExpr` with no `then`, which gives its test's value when that is not #f,
 so the deciding value needs no temporary.  A quoted datum is a `Literal`.
+A top-level `define-syntax` binds its macro here and becomes `(begin)`.
 
 A quasiquote template is lowered to literals and applications (R7RS 4.2.8):
 a constant part becomes one literal, so the constant tail after a list's last
@@ -243,10 +244,15 @@ class _Scope:
 
 
 def parse_core(form, macros, source="<input>", global_table=None):
-    """Expand the macro uses in one datum, validate it, compile it to a core
-    form, and give each of its variables a lexical address.  `macros` maps
-    each macro name to its clauses (see `syntax`); with the machine's
-    `global_table`, the applications of primitives are marked."""
+    """Expand the macro uses in one top-level datum, validate it, compile it
+    to a core form, and give each of its variables a lexical address.
+    `macros` maps each macro name to its clauses (see `syntax`); a
+    `define-syntax` binds its macro there and gives the shared `(begin)`
+    literal.  With the machine's `global_table`, the applications of
+    primitives are marked."""
+    if isinstance(form, Pair) and form.car is _S_DEFINE_SYNTAX:
+        syntax.define_macro(macros, *syntax.parse_define_syntax(form))
+        return _VOID
     top = _Scope(None, None, [], [], macros, source)
     core = _parse(form, top)
     for ref, scope in top.refs:

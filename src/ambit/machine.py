@@ -1,10 +1,11 @@
 """Trampolined register machine.
 
 Evaluation is driven by a single loop that repeatedly invokes the handler
-designated by the `pc` register.  Handlers only test and assign registers
-and never call one another.  Continuations are immutable tagged records
-(`Cont`), and the fail register holds a chain of choice points that
-implements chronological backtracking for `choose`.
+designated by the `pc` register; `Machine.eval_top` is the one way into it
+and out of it.  Handlers only test and assign registers and never call one
+another.  Continuations are immutable tagged records (`Cont`), and the fail
+register holds a chain of choice points that implements chronological
+backtracking for `choose`.
 
 Variables arrive resolved by `forms`: a local is slot `index` of the frame
 `depth` links out from `env_reg`, where a frame is a list whose slot 0 is
@@ -19,8 +20,8 @@ a `val(m, env)` method, which returns the form's value when it has no
 observable evaluation steps and `_STEP` when it needs the machine.  The
 classes `parse_core` picks have their own: a `GlobalRef` reads its symbol
 from the global table, and a `PrimApp1`, `PrimApp2` or `PrimAppN` calls its
-primitive inline, as any application with a `prim` does once its operands
-are in, while the operator's global still holds it.
+primitive inline while the operator's global still holds it.  Once the
+operands of a stepped application are in, `apply_proc` applies its operator.
 A `run` descends only into the subforms of its own form, and follows the
 chain of ifs a `cond`, `and` or `or` becomes in a loop.  `call/cc` is a
 control primitive (see `primitives`), so there are nine core forms: the
@@ -47,7 +48,6 @@ code resumes the choice point without raising (see `compiler`).
 
 import sys
 
-from . import syntax
 from .errors import EvalError, SchemeError
 from .forms import (
     AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
@@ -57,14 +57,12 @@ from .forms import (
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
 from .values import (
-    TERMINAL_FAIL, UNASSIGNED, VOID, ChoicePoint, Closure, Cont, Pair,
-    Primitive, intern, list_from,
+    TERMINAL_FAIL, UNASSIGNED, VOID, ChoicePoint, Closure, Cont, Primitive,
+    list_from,
 )
 from .writer import write_value
 
 NO_MORE_CHOICES = "no more choices"
-
-_S_DEFINE_SYNTAX = intern("define-syntax")
 
 
 class Backtrack(Exception):
@@ -100,8 +98,7 @@ class Machine:
         from .primitives import BOOT_SOURCE, install_primitives
 
         install_primitives(self.globals)
-        for datum in read_all(BOOT_SOURCE):
-            self.eval_top(datum, source="<builtin>")
+        self.eval_source(BOOT_SOURCE, source="<builtin>")
 
     def make_cont(self, label, *fields):
         self.cont_allocations += 1
@@ -110,55 +107,51 @@ class Machine:
     def trampoline(self):
         """Run handlers until `pc` clears, then return the value register.
         A `Backtrack` from a handler resumes the most recent choice point."""
-        try:
-            while True:
-                try:
+        while True:
+            try:
+                pc = self.pc
+                while pc is not None:
+                    pc(self)
                     pc = self.pc
-                    while pc is not None:
-                        pc(self)
-                        pc = self.pc
-                    return self.value_reg
-                except Backtrack:
-                    invoke_fail(self)
-        except SchemeError as err:
-            err.spine = self.trace.spine
-            self.pc = None
-            raise
+                return self.value_reg
+            except Backtrack:
+                invoke_fail(self)
 
     def eval_top(self, datum, source="<input>"):
-        """Validate and evaluate one top-level form, expanding each macro use
-        as `parse_core` meets it.
+        """Evaluate one top-level form: the one way into the trampoline and
+        the one way out of it.
 
-        The fail register persists across calls, so a bare `(choose)` at the
-        top level re-enters the previous computation.  On error the global
-        definitions survive, the fail chain is restored to its state before
-        this form, and the trace stack is cleared.  Any other exception the
-        host raises on the way (say, RecursionError on a deeply nested form)
-        leaves the same state and surfaces as an InternalError, and Ctrl-C
-        (KeyboardInterrupt) as an `Interrupted` error.
+        `parse_core` expands each macro use as it meets it and defines the
+        macro of a `define-syntax`.  The fail register persists across calls,
+        so a bare `(choose)` at the top level re-enters the previous
+        computation.  On any error the global definitions survive, the fail
+        chain is restored to its state before this form, `pc` and the trace
+        stack are cleared, and the error keeps the frames that were pending
+        in `spine`.  A host exception (say, RecursionError on a deeply nested
+        form) surfaces as an InternalError, and Ctrl-C as `Interrupted`.
         """
         form = datum.value if isinstance(datum, SourceDatum) else datum
         saved_fail = self.fail_reg
         try:
-            if isinstance(form, Pair) and form.car is _S_DEFINE_SYNTAX:
-                name, clauses = syntax.parse_define_syntax(form)
-                syntax.define_macro(self.macros, name, clauses)
-                return VOID
             self.exp_reg = parse_core(form, self.macros, source, self.globals)
             self.env_reg = None
             self.k_reg = self.halt
             self.pc = _run
             return self.trampoline()
         except (Exception, KeyboardInterrupt) as err:
+            spine = self.trace.spine
             self.fail_reg = saved_fail
             self.trace.clear()
             self.pc = None
             if isinstance(err, SchemeError):
+                err.spine = spine
                 raise
-            if isinstance(err, KeyboardInterrupt):
-                raise EvalError("Interrupted", "evaluation stopped") from err
-            raise EvalError("InternalError",
-                            f"{type(err).__name__}: {err}") from err
+            error = (EvalError("Interrupted", "evaluation stopped")
+                     if isinstance(err, KeyboardInterrupt) else
+                     EvalError("InternalError",
+                               f"{type(err).__name__}: {err}"))
+            error.spine = spine
+            raise error from err
 
     def eval_source(self, text, source="<input>"):
         """Evaluate every form in `text`; returns the last value (or void)."""
@@ -321,13 +314,7 @@ def _eval_operands(m, proc, app, i, acc, env, k):
         if values is acc:
             values = [*acc]
         values.append(value)
-    if values is not acc:
-        acc = tuple(values)
-    if proc is app.prim:
-        # `parse_core`'s primitive, computed before `k`'s spine is current
-        apply_cont(m, k, proc.fn(m, acc))
-    else:
-        apply_proc(m, proc, acc, k, app)
+    apply_proc(m, proc, acc if values is acc else tuple(values), k, app)
 
 
 def _if_run(exp, m, env, k):

@@ -13,7 +13,7 @@ which positions of a core form hold expressions.
 """
 
 from .errors import MacroError
-from .values import NIL, Pair, Symbol, equal, intern
+from .values import NIL, Pair, Symbol, equal
 from .writer import write_value
 
 # Expansions one macro use may take before it counts as a runaway.
@@ -27,8 +27,6 @@ RESERVED_NAMES = frozenset({
     "quote", "quasiquote", "unquote", "unquote-splicing", "if", "define",
     "define!", "set!", "lambda", "begin", "choose", "define-syntax",
 })
-
-_S_DEFINE_SYNTAX = intern("define-syntax")
 
 
 class MacroClause:
@@ -136,8 +134,6 @@ def _pattern_variables(value):
 
 def parse_define_syntax(form):
     """Pick apart a (define-syntax name [pattern template] ...) datum."""
-    if not isinstance(form, Pair) or form.car is not _S_DEFINE_SYNTAX:
-        raise MacroError("not a define-syntax form")
     rest = form.cdr
     if not isinstance(rest, Pair) or not isinstance(rest.car, Symbol):
         raise MacroError("define-syntax: expected a macro name symbol")

@@ -11,8 +11,9 @@ returning pops frames and a re-entered `call/cc` continuation or a resumed
 choice point shows exactly the frames pending where it resumes.  Entering a
 closure (`machine._enter`) puts one node on top of the spine of the
 continuation the callee returns to, so a tail call replaces its caller's
-frame and the trace stays bounded for loops.
-Rendering to text is deferred until a traceback is actually produced.
+frame and the trace stays bounded for loops.  A failed evaluation hands
+the current spine to its error (`SchemeError.spine`, set by
+`Machine.eval_top`), which renders it only when a traceback is printed.
 """
 
 from .writer import write_value
@@ -54,11 +55,6 @@ class TraceStack:
 
     def clear(self):
         self.spine = None
-
-    @property
-    def frames(self):
-        """Pending frames (label, args, line, col, source), oldest first."""
-        return spine_frames(self.spine)
 
 
 def spine_frames(node, limit=None):

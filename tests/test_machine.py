@@ -285,6 +285,15 @@ def test_define_syntax_only_at_top_level(machine):
         ev(machine, "(lambda () (define-syntax m [(m ?x) ?x]))")
 
 
+def test_top_level_define_syntax_gives_void_and_no_pending_frames(machine):
+    assert ev(machine, "(choose 1 2)") == 1
+    defined = ev(machine, "(define-syntax twice [(twice ?e) (list ?e ?e)])")
+    assert defined is VOID
+    assert machine.trace.spine is None and machine.pc is None
+    assert write_value(ev(machine, "(twice (+ 1 2))")) == "(3 3)"
+    assert ev(machine, "(choose)") == 2
+
+
 def test_sum_program(machine):
     ev(machine, SUM_PROGRAM)
     assert ev(machine, "(sum 100)") == 5050

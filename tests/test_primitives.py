@@ -425,7 +425,7 @@ def test_failed_primitive_leaves_machine_usable():
             machine.eval_source("(car 'oops)")
         except EvalError:
             pass
-        assert len(machine.trace.frames) == 0
+        assert machine.trace.spine is None
     assert machine.fail_reg is before_fail
     assert machine.eval_source("(+ x 1)") == 2
 

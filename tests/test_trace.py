@@ -32,13 +32,13 @@ def test_tail_calls_replace_frames(machine):
     machine.trace.high_water = 0
     machine.eval_source("(even? 100000)")
     assert machine.trace.high_water <= 2
-    assert len(machine.trace.frames) == 0
+    assert machine.trace.spine is None
 
 
 def test_trace_stack_balanced_after_success(machine):
     machine.eval_source("(define f (lambda (n) (if (= n 0) 'done (f (- n 1)))))")
     machine.eval_source("(f 50)")
-    assert len(machine.trace.frames) == 0
+    assert machine.trace.spine is None
 
 
 def test_toggle_mid_computation_stops_pushes(machine):
@@ -67,7 +67,7 @@ def test_zero_cost_when_disabled(quiet_machine):
     quiet_machine.eval_source(EVEN_ODD_PROGRAM)
     quiet_machine.eval_source("(even? 1000)")
     assert quiet_machine.trace.high_water == 0
-    assert len(quiet_machine.trace.frames) == 0
+    assert quiet_machine.trace.spine is None
 
 
 def test_render_traceback_with_location():
@@ -126,7 +126,7 @@ def test_errors_during_repl_like_session_leak_no_frames(machine):
     for _ in range(1000):
         with pytest.raises(SchemeError):
             machine.eval_source("(fact 2)")
-        assert len(machine.trace.frames) == 0
+        assert machine.trace.spine is None
 
 
 def test_frame_locations_point_at_call_sites(machine):
