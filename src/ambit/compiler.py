@@ -6,19 +6,21 @@ handlers would step through, written out.
 return points (Appel 1992) once the stepped path has resumed its operand
 continuations that often.  Inline values are Python expressions: `not`,
 `null?`, `list` (`primitives._EXPRESSION`), a scan for `(member x (list …))`
-(`primitives._SCAN`), and `+ - = < >` on fixnums while the primitive keeps
-its `fn` (`primitives._FIXNUM`).  The continuations the stepped path makes
-get its fields and a handler written for their position, which runs the
-rest of the application, and which loops while a primitive's value goes to
-a continuation made at its own site.  A closure call hits a monomorphic
+(`primitives._SCAN`), which builds no list where only its truth is read,
+and `+ - = < >` on fixnums while the primitive keeps its `fn`
+(`primitives._FIXNUM`).  The continuations the stepped path makes get its
+fields and a handler written for their position, which runs the rest of the
+application, and which loops while a primitive's value goes to a
+continuation made at its own site.  A closure call hits a monomorphic
 inline cache (Deutsch & Schiffman 1984) for the compiled lambda of its arity
 it last met, builds the frame and enters through `machine._enter`, the
-interpreter's own entry, else goes through `apply_proc`.  Each function
-returns to the trampoline as soon as it starts a subform that needs the
-machine, and first checks every operator's global, running the stepped path
-if one has been rebound; user code run by a stepped subform may rebind one,
-so a body's forms after it take the stepped path and a return point checks
-again.
+interpreter's own entry, else goes through `apply_proc`; a body's call of
+its own lambda enters so too, and jumps back to the top (Steele 1977).
+Each function returns to the trampoline as soon as it starts a subform
+that needs the machine, and first checks every operator's global, running
+the stepped path if one has been rebound; user code run by a stepped
+subform may rebind one, so a body's forms after it take the stepped path
+and a return point checks again, while a body's next turn needs no check.
 """
 
 # the compiled code reads this module's names, some imported only for it
@@ -48,6 +50,16 @@ _CALL = """if type({p}) is Closure and {p}.lam is {lam}:
     if {lam}.defines: frame += [UNASSIGNED] * {lam}.defines
     return _enter(m, {p}, frame, ({xs}), {k}, {app})
 return _miss(m, {p}, ({xs}), {k}, {app}, globals(), {lam!r})"""
+# a call of the body's own lambda, its operands read before `env` is rebound;
+# a list display, since `[p.env, *xs]` leaves the list room to grow
+_SELF = """if type({p}) is Closure and {p}.lam is {lam}:
+    p, xs = {p}, ({xs})
+    env = [p.env, {frame}]
+    if {lam}.defines: env += [UNASSIGNED] * {lam}.defines
+    _enter(m, p, env, xs, {k}, {app})
+    k = {k}
+    continue
+"""
 # a return point's head, and that of one that loops, with the loop's end
 _RETURN = "    {fields} = m.fields_reg\n    v = m.value_reg\n"
 _LOOP = """    fields, v, trace = m.fields_reg, m.value_reg, m.trace
@@ -65,10 +77,11 @@ def fuse(lam):
     as parsed, which becomes the body."""
     lam.entries = None
     code = _Code(dict(globals()), lam)
-    code.run(lam.body, "k", "    ", 0)
+    code.run(lam.body, "k", "        ", 0)
     # a body handed to its own `run` gains nothing
     if len(code.lines) == 1 and code.lines[0].endswith(".run(m, env, k)"):
         return
+    code.lines.insert(0, "    while True:")
     code.define("body(node, m, env, k)", "node.body[0].run(m, env, k)")
     lam.body = type("BeginExpr", (BeginExpr,), {
         "__slots__": (), "run": code.ns["body"]})((lam.body,))
@@ -106,6 +119,7 @@ class _Code:
 
     def __init__(self, ns, lam, root=None):
         self.ns, self.lines, self.guards, self.ints = ns, [], {}, set()
+        self.lam = lam
         self.params = lam and len(lam.params) + (lam.rest is not None) or 0
         self.labels, self.todo = (
             ({}, []) if root is None else (root.labels, root.todo))
@@ -162,24 +176,27 @@ class _Code:
             (_LOOP if loop else _RETURN).format(fields=fields), pad,
             [f"proc is not {self.name(app.prim)}"] * bool(app.prim))
 
-    def value(self, root, pad):
+    def value(self, root, pad, test=False):
         """Compute inline `root`, one temporary per node in the stepped
-        path's order; gives the name or expression of its value."""
-        code, results, todo = self.lines, [], [(root, False)]
+        path's order; gives the name or expression of its value.  Where
+        only whether a value is #f is read (`test`), as in `not`'s operand,
+        a scan gives True on a hit and builds no list (Wadler 1990)."""
+        code, results, todo = self.lines, [], [(root, False, test)]
         while todo:
-            node, ready = todo.pop()
+            node, ready, test = todo.pop()
             temp = f"t{len(code)}"
             if isinstance(node, PrimAppN) and not ready:
                 self.guards[node.op.name, node.prim] = None
                 args = node.args
                 lst = args[-1] if args else None
-                test = (isinstance(lst, PrimAppN) and len(lst.args) <= _WIDE
+                same = (isinstance(lst, PrimAppN) and len(lst.args) <= _WIDE
                         and _SCAN.get((node.prim.name, lst.prim.name)))
-                if test:  # the list's operands stand in for the list
+                if same:  # the list's operands stand in for the list
                     self.guards[lst.op.name, lst.prim] = None
                     args = (*args[:-1], *lst.args)
-                todo.append((node, (len(args), test)))
-                todo += [(a, False) for a in reversed(args)]
+                todo.append((node, (len(args), same), test))
+                inner = node.prim.name == "not"
+                todo += [(a, False, inner) for a in reversed(args)]
                 continue
             if type(node) is LambdaExpr:
                 # made once, though a scan names its operands more than once
@@ -199,11 +216,11 @@ class _Code:
                          "UNASSIGNED: raise EvalError('UnboundVariable', "
                          f"{self.name(node.name.name)})"]
             else:
-                count, test = ready
+                count, same = ready
                 xs = results[len(results) - count:]
                 del results[len(results) - count:]
-                if test:
-                    results.append(self.scan(node, test, xs, pad))
+                if same:
+                    results.append(self.scan(node, same, xs, pad, test))
                     continue
                 build = _EXPRESSION.get(node.prim.name)
                 if build and len(xs) <= _WIDE:
@@ -233,18 +250,27 @@ class _Code:
                      f"{INT64_MAX} else {call})")
         return f"{value} if {test} else {call}"
 
-    def scan(self, node, test, xs, pad):
+    def scan(self, node, same, xs, pad, test):
         """Write `node` as the scan `_SCAN` gives it, of target `xs[0]` over
-        items `xs[1:]`, which a symbol target needs no `test` for
-        (`BY_IDENTITY`); gives its temporary."""
+        items `xs[1:]`, which a symbol target needs no `same` for
+        (`BY_IDENTITY`); gives its temporary, True on a hit in a `test`."""
         code, build = self.lines, _EXPRESSION[node.args[-1].prim.name]
-        x, ys, temp, test = xs[0], xs[1:], f"t{len(code)}", self.name(test)
+        x, ys, temp, same = xs[0], xs[1:], f"t{len(code)}", self.name(same)
         code.append(f"{pad}{temp} = type({x}) is BY_IDENTITY")
         for i, y in enumerate(ys):
+            hit = "True" if test else build(ys[i:])
             code.append(f"{pad}{'el' * bool(i)}if {x} is {y} or not {temp} "
-                        f"and {test}({x}, {y}): {temp} = {build(ys[i:])}")
+                        f"and {same}({x}, {y}): {temp} = {hit}")
         code.append(f"{pad}{'else: ' * bool(ys)}{temp} = False")
         return temp
+
+    def test(self, node, pad, false=False):
+        """The condition that inline `node`'s value is #f (`false`) or is
+        not, each `not` around it folded in."""
+        while type(node) is PrimApp1 and node.prim.name == "not":
+            self.guards[node.op.name, node.prim] = None
+            node, false = node.args[0], not false
+        return f"{self.value(node, pad, True)} is {'not ' * (not false)}False"
 
     def run(self, node, k, pad, depth):
         """Run `node` toward `k` as its `run` would; the first subform that
@@ -254,8 +280,7 @@ class _Code:
         while not isinstance(node, _INLINE) and depth < _NEST:
             if (type(node) is IfExpr and isinstance(node.test, _INLINE)
                     and node.then is not None):
-                code.append(f"{pad}if {self.value(node.test, pad)} "
-                            "is not False:")
+                code.append(f"{pad}if {self.test(node.test, pad)}:")
                 self.run(node.then, k, pad + "    ", depth + 1)
                 node = node.alt
             elif type(node) is BeginExpr:
@@ -271,8 +296,8 @@ class _Code:
                     if (type(form) is PrimApp1
                             and form.prim.name == "require"):
                         self.guards[form.op.name, form.prim] = None
-                        code.append(f"{pad}if {self.value(form.args[0], pad)}"
-                                    " is False: return invoke_fail(m)")
+                        failed = self.test(form.args[0], pad, True)
+                        code.append(f"{pad}if {failed}: return invoke_fail(m)")
                     else:
                         self.value(form, pad)
             elif (isinstance(node, AppExpr) and isinstance(node.op, _INLINE)
@@ -313,8 +338,12 @@ class _Code:
             end = (_TURN.format(k=k, label=loop, t=temp) if loop else
                    f"return apply_cont(m, {k}, {temp})")
         else:
-            end = _CALL.format(p=proc, lam=self.name(None), xs=_items(xs),
-                               k=k, app=self.name(app))
+            lam, call = self.lam, dict(p=proc, xs=_items(xs), k=k,
+                                       app=self.name(app))
+            end = _CALL.format(lam=self.name(None), **call)
+            if lam and lam.rest is None and len(lam.params) == len(xs):
+                end = _SELF.format(lam=self.name(lam), frame=_items(
+                    f"xs[{i}]" for i in range(len(xs))), **call) + end
         code += [pad + line for line in end.split("\n")]
         return None
 

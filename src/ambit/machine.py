@@ -497,10 +497,11 @@ def apply_proc(m, proc, args, k, app=None):
 
 def _enter(m, proc, env, args, k, app):
     """Enter closure `proc` in the frame `env` made of `args`: the one place
-    that pushes a closure's trace node and starts its body, from the
-    trampoline.  The node goes on `k`'s spine, so a tail call replaces its
-    caller's frame and a loop's trace stays bounded; its label is taken
-    now, so a later `define` does not rename a pending frame."""
+    that pushes a closure's trace node, and starts its body from the
+    trampoline unless a compiled body calling itself runs it in a loop.  The
+    node goes on `k`'s spine, so a tail call replaces its caller's frame and
+    a loop's trace stays bounded; its label is taken now, so a later
+    `define` does not rename a pending frame."""
     trace = m.trace
     if trace.config.enabled:
         parent = k.spine

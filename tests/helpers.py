@@ -422,6 +422,11 @@ _REFERENCE_PRIMITIVES = {
     "<": _chain(operator.lt),
     ">": _chain(operator.gt),
     "not": lambda a: a is False,
+    # a list is a tuple, and `member` gives the tail from the match
+    "list": lambda *xs: xs,
+    "member": lambda x, xs: next((xs[i:] for i, y in enumerate(xs)
+                                  if type(y) is type(x) and y == x), False),
+    "pair?": lambda x: type(x) is tuple and len(x) > 0,
 }
 
 
@@ -429,11 +434,12 @@ class Reference:
     """A direct-style evaluator of a small Scheme: `lambda` (fixed
     parameters), `define` (top level and at the head of a body), `set!`,
     `if`, `begin`, `let`/`let*`/`letrec`, `quote`, `choose`, and the
-    procedures `+ - * quotient = < > not display require call/cc`, over
-    integers and booleans.  Like the `amb` evaluator of SICP 4.3.3 it takes
-    a success continuation `sk(value, fk)` and a failure continuation
-    `fk()`, both Python closures, so `choose` and `call/cc` need no machine.
-    It shares nothing with the interpreter but the reader and its values."""
+    procedures `+ - * quotient = < > not list member pair? display require
+    call/cc`, over integers, booleans and lists of integers.  Like the `amb`
+    evaluator of SICP 4.3.3 it takes a success continuation `sk(value, fk)`
+    and a failure continuation `fk()`, both Python closures, so `choose` and
+    `call/cc` need no machine.  It shares nothing with the interpreter but
+    the reader and its values."""
 
     def __init__(self):
         self.globals, self.output = {}, []

@@ -372,6 +372,11 @@ CONSOLE_CASES = [
                   "(define loop (lambda (n) (if (= n 0) (void) (begin "
                   "(g n) (loop (- n 1)))))) (loop 3000) (g (choose 0 0 5))"],
                  None, "5", "", 0, id="require-statement-hot"),
+    # a self tail loop of 5,000 turns, compiled on its 1,000th entry at the
+    # default threshold, whose later turns jump back to the compiled body
+    pytest.param(["-e", "(define f (lambda (n acc) (if (= n 0) acc "
+                  "(f (- n 1) (+ acc 1))))) (f 5000 0)"], None, "5000", "", 0,
+                 id="self-tail-loop"),
     # one name bound twice in a `letrec` is a syntax error, as under `let`
     pytest.param(["-e", "(letrec ((x 1) (x 2)) x)"], None, "",
                  "SyntaxError: malformed letrec: (letrec ((x 1) (x 2)) x)", 1,

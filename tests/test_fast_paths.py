@@ -412,8 +412,9 @@ def compiled_and_stepped(forms, call, entries=1):
     """Each of `forms`, then `call` exhausted, on a machine whose lambdas are
     compiled on their `entries`-th entry (and return points on their
     `entries`-th resumption) and on one where nothing ever is; both must
-    give the same values (written) or error line and frames, print the same
-    and make as many continuations.  Gives those and the first machine."""
+    give the same values (written) or error line and frames (arguments
+    written), print the same, make as many continuations and reach the same
+    trace depth.  Gives those and the first machine."""
     runs = []
     for hot in (entries, 10 ** 9):
         with hot_after(hot):
@@ -424,11 +425,14 @@ def compiled_and_stepped(forms, call, entries=1):
                 values = [write_value(value)
                           for value in exhaust(machine, call)[:-1]]
             except SchemeError as err:
-                values = (err.error_line(), err.frames)
+                values = (err.error_line(), tuple(
+                    (label, tuple(map(write_value, args)), *site)
+                    for label, args, *site in err.frames))
             runs.append((values, machine.stdout.getvalue(), machine))
     (hot, hot_out, fused), (cold, cold_out, stepped) = runs
     assert hot == cold and hot_out == cold_out
     assert fused.cont_allocations == stepped.cont_allocations
+    assert fused.trace.high_water == stepped.trace.high_water
     return hot, fused
 
 
@@ -862,6 +866,178 @@ def test_a_site_too_wide_to_compile_stays_stepped():
     assert len(wide) == 4 and all(app.site is None for app in wide)
 
 
+
+# --- self calls as loops ----------------------------------------------------
+
+
+def body_runs(machine, name, text):
+    """How often the named procedure's compiled body function is called
+    while `text` is evaluated: once for a call whose self calls loop."""
+    cls = type(machine.globals[intern(name)].lam.body)
+    plain, runs = cls.run, []
+    cls.run = lambda *args: runs.append(args) or plain(*args)
+    try:
+        ev(machine, text)
+    finally:
+        cls.run = plain
+    return len(runs)
+
+
+@pytest.mark.parametrize("f, call, want", [
+    ("(lambda (n acc) (if (= n 0) acc (f (- n 1) (+ acc n))))", "(f 100 0)",
+     "5050"),
+    # the descent loops and the ascent is the looping return chain of `+`
+    ("(lambda (n) (if (= n 0) 0 (+ 1 (f (- n 1)))))", "(f 100)", "100"),
+])
+def test_a_compiled_self_call_jumps_back_to_the_body(f, call, want):
+    values, machine = compiled_and_stepped([f"(define f {f})"], call)
+    assert values == [want]
+    assert body_runs(machine, "f", call) == 1
+
+
+def test_a_self_call_through_a_parameter_reads_the_callers_frame():
+    # two closures of one lambda trade places each turn, so operands or a
+    # frame read from the callee's frame would name the wrong one
+    make = ("(define make (lambda (tag) (lambda (self other n) "
+            "(if (= n 0) {} ({} (self other self (- n 1)))))))")
+    values, machine = compiled_and_stepped(
+        [make.format("(list tag n)", "begin"),
+         "(define a (make 'a))", "(define b (make 'b))"],
+        "(list (a a b 3) (a b a 4) (b a b 2))")
+    assert values == ["((a 0) (a 0) (b 0))"]
+    assert body_runs(machine, "a", "(a a b 3)") == 1
+    (line, frames), machine = compiled_and_stepped(
+        [make.format("(car tag)", "+ 1"),
+         "(define a (make 'a))", "(define b (make 'b))"], "(a a b 3)")
+    assert line == "car: expected a pair, got a"
+    a, b = "#<procedure a>", "#<procedure b>"
+    assert [frame[1][:2] for frame in frames] == [(a, b), (b, a)] * 2
+    (line, frames), machine = compiled_and_stepped(
+        ["(define f (lambda (self n) "
+         "(if (= n 0) (car n) (+ 1 (self self (- n 1))))))",
+         "(define outer (lambda (n) (list (f f n))))"], "(outer 4)")
+    assert line == "car: expected a pair, got 0"
+    assert [frame[0] for frame in frames] == ["outer", "f", *["self"] * 4]
+    assert [frame[1] for frame in frames[1:]] == [
+        ("#<procedure f>", str(n)) for n in range(4, -1, -1)]
+    assert compiled_body(machine, "f")
+
+
+def test_a_rebound_self_call_no_longer_loops():
+    values, machine = compiled_and_stepped(
+        ["(define f (lambda (n acc) (if (= n 0) acc (f (- n 1) (+ acc 1)))))",
+         "(f 10 0)", "(define f0 f)",
+         "(set! f (lambda (n acc) (list 'g n acc)))"],
+        "(list (f0 5 0) (begin (set! f f0) (f0 5 0)))")
+    assert values == ["((g 4 1) 5)"]
+    assert body_runs(machine, "f", "(f 10 0)") == 1
+
+
+def test_a_body_define_in_a_looping_lambda():
+    values, machine = compiled_and_stepped(
+        ["(define f (lambda (n acc) (if (= n 0) "
+         "(begin (define r (* acc 2)) r) (f (- n 1) (+ acc 1)))))",
+         "(define g (lambda (n) (if (= n 0) 0 (+ 1 (g (- n 1)))) "
+         "(define x n) x))"], "(list (f 5 0) (g 5))")
+    assert values == ["(10 5)"]
+    assert body_runs(machine, "f", "(f 5 0)") == 1
+    assert body_runs(machine, "g", "(g 5)") == 1
+
+
+def test_a_continuation_captured_in_a_self_loop_is_reentered():
+    values, machine = compiled_and_stepped(
+        ["(define saved #f)",
+         "(define f (lambda (n) (if (= n 0) (call/cc (lambda (c) "
+         "(set! saved c) 0)) (+ 1 (f (- n 1))))))",
+         "(define r (f 5))", "(define first r)", "(saved 10)"],
+        "(list first r)")
+    assert values == ["(5 15)"]
+    assert compiled_body(machine, "f")
+
+
+def test_a_choose_reached_in_a_self_loop_is_exhausted():
+    values, machine = compiled_and_stepped(
+        ["(define f (lambda (n acc) (if (= n 0) (choose acc (* acc 2)) "
+         "(f (- n 1) (+ acc n)))))",
+         "(define g (lambda (n) (if (= n 0) (choose 1 2 3) "
+         "(+ 10 (g (- n 1))))))"],
+        "(let ((x (f 4 0)) (y (g 3))) (require (not (= y 32))) (list x y))")
+    assert values == ["(10 31)", "(10 33)", "(20 31)", "(20 33)"]
+    assert compiled_body(machine, "f") and compiled_body(machine, "g")
+
+
+def test_ctrl_c_inside_a_self_loop_stops_the_evaluation_with_its_frames():
+    with hot_after(1):
+        machine = Machine(stdout=io.StringIO())
+        ev(machine, "(define f (lambda (n) "
+                    "(if (= n 0) 0 (+ 1 (f (- n 1))))))")
+        assert ev(machine, "(f 3)") == 3
+        # the same `Primitive`, so the compiled guard still passes
+        prim = machine.globals[intern("-")]
+        plain, calls = prim.fn, []
+
+        def tick(m, args):
+            calls.append(args)
+            if len(calls) == 50:
+                raise KeyboardInterrupt
+            return plain(m, args)
+
+        prim.fn = tick
+        with pytest.raises(SchemeError) as excinfo:
+            ev(machine, "(f 100)")
+        prim.fn = plain
+        assert excinfo.value.error_line() == "Interrupted: evaluation stopped"
+        assert [frame[1] for frame in excinfo.value.frames] == [
+            (n,) for n in range(100, 50, -1)]
+        assert machine.trace.spine is None and machine.pc is None
+        assert body_runs(machine, "f", "(f 100)") == 1
+
+
+# --- scans in test positions -------------------------------------------------
+
+
+def builds_pairs(machine, name):
+    """Whether the named procedure's compiled body can make a pair."""
+    cls = type(machine.globals[intern(name)].lam.body)
+    return "Pair" in cls.run.__code__.co_names
+
+
+@pytest.mark.parametrize("form, want", [
+    ("(if (member x (list 1 y \"s\")) 'in 'out)", "in in out in out"),
+    ("(begin (require (memq x (list 'a y))) 'in)", "in in"),
+    ("(if (not (member x (list 1 y \"s\"))) 'out 'in)", "in in out in out"),
+    ("(begin (require (not (memq x (list 'a y)))) 'out)", "out out out"),
+    ("(if (not (not (member x (list 1 y \"s\")))) 'in 'out)",
+     "in in out in out"),
+])
+def test_a_scan_in_a_test_position_builds_no_list(form, want):
+    values, machine = compiled_and_stepped(
+        [f"(define f (lambda (x y) {form}))"],
+        "(f (choose 1 2 'a \"s\" 'b) 2)")
+    assert values == want.split()
+    assert compiled_body(machine, "f") and not builds_pairs(machine, "f")
+
+
+def test_the_operand_of_not_in_a_value_is_a_test():
+    values, machine = compiled_and_stepped(
+        ["(define f (lambda (x y) (not (member x (list 1 y)))))",
+         "(define g (lambda (x y) (not (not (memq x (list 'a y))))))"],
+        "(list (f 1 2) (f 2 2) (f 3 2) (g 'a 3) (g 'b 3) (g 'b 'b))")
+    assert values == ["(#f #f #t #t #f #t)"]
+    assert not builds_pairs(machine, "f") and not builds_pairs(machine, "g")
+
+
+@pytest.mark.parametrize("form", [
+    "(or (member x (list 1 y 3)) 'none)",
+    "(cond ((member x (list 1 y 3))) (else 'none))",
+])
+def test_a_scan_whose_test_value_is_returned_still_gives_the_tail(form):
+    values, machine = compiled_and_stepped(
+        [f"(define f (lambda (x y) (list {form})))"],
+        "(list (f 1 2) (f 2 2) (f 3 2) (f 4 2))")
+    assert values == ["(((1 2 3)) ((2 3)) ((3)) (none))"]
+
+
 # --- the inline expressions of `not`, `null?` and `list` ---------------------
 
 
@@ -983,7 +1159,7 @@ def _ref_kinds(names, depth):
             "ap", "ap"]
         # `x` is in scope in the body of `h` alone, which must not call `h`
         kinds += ["set"] * bool(names) + ["h", "hh", "hh"] * (
-            "x" not in names)
+            "x" not in names) + ["r"]
     return kinds
 
 
@@ -1045,15 +1221,23 @@ def _ref_int(draw, names, depth, kinds=None):
         return (f"({draw(st.sampled_from('+-*'))} "
                 f"(h {_ref_int(draw, names, sub)}) "
                 f"(h {_ref_int(draw, names, sub)}))")
+    if kind == "r":
+        return (f"(r {_ref_int(draw, names, sub)} "
+                f"{_ref_int(draw, names, sub)})")
     return f"(h {_ref_int(draw, names, sub)})"
 
 
 def _ref_bool(draw, names, depth):
-    kind = draw(st.sampled_from(["lit", "<", "=", ">", "not"]))
+    kind = draw(st.sampled_from(["lit", "<", "=", ">", "not", "member"]))
     if kind == "lit":
         return draw(st.sampled_from(["#t", "#f"]))
     if kind == "not":
         return f"(not {_ref_bool(draw, names, max(depth - 1, 0))})"
+    if kind == "member":
+        # a scan tested, and one whose tail is read
+        return "({} (member {} (list {} {})))".format(
+            draw(st.sampled_from(["not", "pair?"])),
+            *(_ref_int(draw, names, max(depth - 1, 0)) for _ in range(3)))
     return "({} {})".format(kind, " ".join(
         _ref_int(draw, names, max(depth - 1, 0) if i < 2 else 0)
         for i in range(draw(st.integers(2, 3)))))
@@ -1081,7 +1265,9 @@ def _ref_body(draw, names, depth, defines=True):
 
 @st.composite
 def reference_programs(draw):
-    """`ap`, a helper `h`, and an expression whose choices are exhausted."""
+    """`ap`, a helper `h`, a self-recursive `r` that calls itself in tail
+    and in non-tail position at most six levels deep, and an expression
+    whose choices are exhausted."""
     # the body of `h` is a call whose operands need the machine, so its
     # return points are resumed, by backtracking, after later calls of `h`
     # have run them again
@@ -1089,9 +1275,11 @@ def reference_programs(draw):
     body = "({} {} {})".format(
         draw(st.sampled_from(["+", "-", "*"])),
         *(_ref_int(draw, frozenset("x"), 1, stepped) for _ in range(2)))
-    kinds = draw(st.sampled_from([None, ["hh"]]))
+    kinds = draw(st.sampled_from([None, ["hh"], ["r"]]))
     return ["(define ap (lambda (f x) (f x)))",
             f"(define h (lambda (x) {body}))",
+            "(define r (lambda (n a) (if (> n 5) (r 5 a) "
+            "(if (< n 1) a (+ n (r (- n 1) a))))))",
             _ref_int(draw, frozenset(), draw(st.integers(1, 3)), kinds)]
 
 
