@@ -8,8 +8,10 @@ continuations that often.  Inline values are Python expressions: `not`,
 `null?`, `list` (`primitives._EXPRESSION`), a scan for `(member x (list …))`
 (`primitives._SCAN`), which builds no list where only its truth is read,
 and `+ - = < >` on fixnums while the primitive keeps its `fn`
-(`primitives._FIXNUM`).  The continuations the stepped path makes get its
-fields and a handler written for their position, which runs the rest of the
+(`primitives._FIXNUM`).  A `choose` pushes the choice point its `run`
+would and runs its first alternative in place.  The continuations the
+stepped path makes get its fields, a prefix of literal operands as one
+tuple, and a handler written for their position, which runs the rest of the
 application, and which loops while a primitive's value goes to a
 continuation made at its own site.  A closure call hits a monomorphic
 inline cache (Deutsch & Schiffman 1984) for the compiled lambda of its arity
@@ -26,15 +28,16 @@ and a return point checks again, while a body's next turn needs no check.
 # the compiled code reads this module's names, some imported only for it
 from .errors import EvalError
 from .forms import (
-    _INLINE, AppExpr, BeginExpr, IfExpr, LambdaExpr, Literal, PrimApp1,
-    PrimAppN, VarRef,
+    _INLINE, AppExpr, BeginExpr, ChooseExpr, IfExpr, LambdaExpr, Literal,
+    PrimApp1, PrimAppN, VarRef,
 )
 from .machine import (
     _enter, _eval_operands, apply_cont, apply_proc, cont_begin, invoke_fail,
 )
 from .primitives import _EXPRESSION, _FIXNUM, _SCAN
 from .values import (
-    BY_IDENTITY, INT64_MAX, INT64_MIN, NIL, UNASSIGNED, Closure, Cont, Pair,
+    BY_IDENTITY, INT64_MAX, INT64_MIN, NIL, UNASSIGNED, ChoicePoint, Closure,
+    Cont, Pair,
 )
 
 # how deep compiled code nests (Python's parser allows 100 levels of
@@ -300,6 +303,15 @@ class _Code:
                         code.append(f"{pad}if {failed}: return invoke_fail(m)")
                     else:
                         self.value(form, pad)
+            elif type(node) is ChooseExpr:
+                if not node.exprs:
+                    code.append(f"{pad}return invoke_fail(m)")
+                    return
+                if len(node.exprs) > 1:
+                    code.append(f"{pad}m.fail_reg = ChoicePoint("
+                                f"{self.name(node.exprs)}, 1, env, {k}, "
+                                "m.fail_reg, m.trace.spine)")
+                node = node.exprs[0]
             elif (isinstance(node, AppExpr) and isinstance(node.op, _INLINE)
                   and len(node.args) <= _WIDE):
                 if node.prim:
@@ -325,12 +337,18 @@ class _Code:
         the continuation made for it, or None once the call is written.  A
         primitive's value goes to `k`, or to the next turn of the loop of
         return point `loop` if `k` was made at its site."""
-        code = self.lines
-        for j, arg in enumerate(app.args[i:], i):
+        code, args = self.lines, app.args
+        for j, arg in enumerate(args[i:], i):
             if not isinstance(arg, _INLINE):
+                # a prefix of literals is one tuple, made now; the frame is
+                # None where no operand follows (see `machine.cont_operand`)
+                acc = (self.name(tuple(a.value for a in args[:j]))
+                       if xs and all(type(a) is Literal for a in args[:j])
+                       else f"({_items(xs)})")
                 return arg, self.cont(pad, self.ret(app, j + 1), proc,
-                                      self.name(app), j + 1,
-                                      f"({_items(xs)})", "env", k)
+                                      self.name(app), j + 1, acc,
+                                      "env" if j + 1 < len(args) else "None",
+                                      k)
             xs.append(self.value(arg, pad))
         temp = f"t{len(code)}"
         if app.prim:

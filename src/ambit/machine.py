@@ -280,9 +280,13 @@ def cont_operator(m):
 
 
 def cont_operand(m):
-    """Resume `app` after its stepped operand `i - 1`.  `app.site` counts
-    these resumptions up to `_HOT_ENTRIES`, then holds the return points
-    compiled for each `i` (see `compiler`), or None if it never will."""
+    """Resume `app` after its stepped operand `i - 1`, with the operator
+    `proc`, the values `acc` of the operands before it, and the caller's
+    frame `env`, which is None once no operand is left to compute (Shao &
+    Appel 1994), so a return point holds no frame it will not read.
+    `app.site` counts these resumptions up to `_HOT_ENTRIES`, then holds the
+    return points compiled for each `i` (see `compiler`), or None if it
+    never will."""
     proc, app, i, acc, env, k = m.fields_reg
     site = app.site
     if type(site) is int:
@@ -298,8 +302,9 @@ def cont_operand(m):
 
 def _eval_operands(m, proc, app, i, acc, env, k):
     """Evaluate remaining operands left to right, then apply.  A run of
-    values computed inline is gathered in a list, and a continuation gets
-    the values as a tuple."""
+    values computed inline is gathered in a list, and the continuation of a
+    stepped operand (see `cont_operand`) gets the values as a tuple, and
+    `env` only if an operand follows."""
     args = app.args
     n = len(args)
     values = acc
@@ -309,7 +314,8 @@ def _eval_operands(m, proc, app, i, acc, env, k):
         value = arg.val(m, env)
         if value is _STEP:
             arg.run(m, env, m.make_cont(cont_operand, proc, app, i,
-                                        tuple(values), env, k))
+                                        tuple(values), env if i < n else None,
+                                        k))
             return
         if values is acc:
             values = [*acc]
@@ -554,11 +560,11 @@ def invoke_fail(m):
     m.fail_reg = (f.parent if index == len(alternatives) else
                   ChoicePoint(alternatives, index, f.env, f.k, f.parent,
                               f.spine))
-    m.trace.restore(f.spine)
     alternative = alternatives[index - 1]
-    if type(alternative) is Literal:
+    if type(alternative) is Literal:  # which makes `f.k`'s spine current
         apply_cont(m, f.k, alternative.value)
         return
+    m.trace.restore(f.spine)
     m.exp_reg = alternative
     m.env_reg = f.env
     m.k_reg = f.k

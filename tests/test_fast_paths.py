@@ -751,12 +751,16 @@ def test_frames_entered_through_apply_and_callcc_have_no_call_site(entries):
 
 
 def test_a_cached_compiled_tail_loop_keeps_the_trace_bounded():
+    # through two procedures, so each call goes through its site's cache,
+    # not the self call's jump
     with hot_after(1):
         machine = Machine(stdout=io.StringIO())
         ev(machine, "(define loop (lambda (n) "
-                    "(if (= n 0) (quote done) (loop (- n 1)))))")
+                    "(if (= n 0) (quote done) (step n))))")
+        ev(machine, "(define step (lambda (n) (loop (- n 1))))")
         assert ev(machine, "(loop 10000)") is intern("done")
-        assert cache_holds(machine, "loop", "loop")
+        assert cache_holds(machine, "loop", "step")
+        assert cache_holds(machine, "step", "loop")
         assert machine.trace.high_water == 1
 
 
@@ -991,6 +995,100 @@ def test_ctrl_c_inside_a_self_loop_stops_the_evaluation_with_its_frames():
             (n,) for n in range(100, 50, -1)]
         assert machine.trace.spine is None and machine.pc is None
         assert body_runs(machine, "f", "(f 100)") == 1
+
+
+# --- compiled choose, and operand continuations without dead fields --------
+
+
+def test_a_body_that_is_a_lone_choose_compiles():
+    # called from a hot site
+    values, machine = compiled_and_stepped(
+        ["(define color (lambda () (choose 'red 'green 'blue)))",
+         "(define f (lambda (x) (list x (color))))"],
+        "(let ((a (f 1)) (b (color))) (require (not (eq? (cadr a) b))) "
+        "(list a b))")
+    assert values == ["((1 red) green)", "((1 red) blue)", "((1 green) red)",
+                      "((1 green) blue)", "((1 blue) red)", "((1 blue) green)"]
+    assert compiled_body(machine, "color") and compiled_body(machine, "f")
+
+
+@pytest.mark.parametrize("forms, call, want", [
+    # a `choose` operand after a literal, and a `(choose)`
+    (["(define f (lambda (x) (* x (+ 1 (choose 1 2)))))"], "(f 5)",
+     ["10", "15"]),
+    (["(define f (lambda (x) (if (< x 0) (choose) (* x 2))))"],
+     "(f (choose -1 2 -3 4))", ["4", "8"]),
+    # a first alternative that is a stepped call
+    (["(define g (lambda (x) (display x) (* x 10)))",
+      "(define f (lambda (x) (+ 1 (choose (g x) (g (+ x 1)) x))))"],
+     "(f 2)", ["21", "31", "3"]),
+    # a first alternative that is a self call, which loops
+    (["(define f (lambda (n acc) (if (= n 0) acc "
+      "(choose (f (- n 1) (+ acc n)) (f (- n 1) acc)))))"], "(f 3 0)",
+     ["6", "5", "4", "3", "3", "2", "1", "0"]),
+    # a continuation captured under a `choose`, re-entered for each choice
+    (["(define saved #f)", "(define f (lambda (x) "
+      "(* x (choose (call/cc (lambda (c) (set! saved c) 1)) 2))))"],
+     "(let ((r (f 10))) (if (< r 100) (saved (* r 10)) r))",
+     ["1000", "2000"]),
+])
+def test_a_compiled_choose_agrees_with_the_stepped_path(forms, call, want):
+    values, machine = compiled_and_stepped(forms, call)
+    assert values == want
+    assert compiled_body(machine, "f")
+
+
+def operand_conts(k):
+    """The continuations of stepped operands on `k`'s chain, newest first:
+    those of six fields, `(proc, app, i, acc, env, k)`."""
+    found = []
+    while k.fields:  # every continuation but the halt ends in its `k`
+        if len(k.fields) == 6:
+            found.append(k)
+        k = k.fields[-1]
+    return found
+
+
+@pytest.mark.parametrize("entries", [1, 10 ** 9])
+def test_a_continuation_of_a_last_operand_holds_no_frame(entries):
+    with hot_after(entries):
+        machine = Machine(stdout=io.StringIO())
+        ev(machine, "(define saved #f)")
+        ev(machine, "(define f (lambda (n) (if (= n 0) (call/cc (lambda (c) "
+                    "(set! saved c) 0)) (+ 1 (f (- n 1))))))")
+        assert ev(machine, "(f 5)") == 5
+        chain = operand_conts(machine.globals[intern("saved")])
+        assert len(chain) == 5
+        assert all(k.fields[4] is None for k in chain)
+        assert ev(machine, "(saved 10)") == 15
+
+
+@pytest.mark.parametrize("entries", [1, 10 ** 9])
+def test_a_stepped_operand_before_another_keeps_the_frame(entries):
+    values, machine = compiled_and_stepped(
+        ["(define saved #f)",
+         "(define g (lambda (v) (call/cc (lambda (c) (set! saved c) v))))",
+         "(define f (lambda (x) (list (g 1) x (lambda () x))))",
+         "(define r (f 7))", "(define first r)", "(saved 2)"],
+        "(list first r ((caddr first)) ((caddr r)))", entries)
+    assert values == ["((1 7 #<procedure>) (2 7 #<procedure>) 7 7)"]
+    saved = machine.globals[intern("saved")]
+    assert operand_conts(saved)[0] is saved and saved.fields[4][1] == 7
+
+
+def test_continuations_made_at_one_compiled_site_share_a_literal_prefix():
+    with hot_after(1):
+        machine = Machine(stdout=io.StringIO())
+        ev(machine, "(define saved '())")
+        ev(machine, "(define g (lambda (x) (call/cc (lambda (c) "
+                    "(set! saved (cons c saved)) x))))")
+        ev(machine, "(define f (lambda (x) (list 1 'a (g x) x)))")
+        assert write_value(ev(machine, "(list (f 2) (f 3))")) == (
+            "((1 a 2 2) (1 a 3 3))")
+        second, first = to_pylist(machine.globals[intern("saved")])
+        assert compiled_body(machine, "f")
+        assert first.fields[3] == (1, intern("a"))
+        assert first.fields[3] is second.fields[3]
 
 
 # --- scans in test positions -------------------------------------------------
