@@ -17,7 +17,11 @@ continuation made at its own site.  A closure call hits a monomorphic
 inline cache (Deutsch & Schiffman 1984) for the compiled lambda of its arity
 it last met, builds the frame and enters through `machine._enter`, the
 interpreter's own entry, else goes through `apply_proc`; a body's call of
-its own lambda enters so too, and jumps back to the top (Steele 1977).
+its own lambda enters so too, and jumps back to the top (Steele 1977).  A
+`let` is no call: its frame is built inline and its body runs in the same
+function, where a self call still jumps back to the top.  A read of a
+parameter of any frame the code built itself, the lambda's or a `let`'s,
+skips the unassigned test that a body `define`'s slot needs.
 Each function returns to the trampoline as soon as it starts a subform
 that needs the machine, and first checks every operator's global, running
 the stepped path if one has been rebound; user code run by a stepped
@@ -28,8 +32,8 @@ and a return point checks again, while a body's next turn needs no check.
 # the compiled code reads this module's names, some imported only for it
 from .errors import EvalError
 from .forms import (
-    _INLINE, AppExpr, BeginExpr, ChooseExpr, IfExpr, LambdaExpr, Literal,
-    PrimApp1, PrimAppN, VarRef,
+    _INLINE, AppExpr, BeginExpr, ChooseExpr, IfExpr, LambdaExpr, LetExpr,
+    Literal, PrimApp1, PrimAppN, VarRef,
 )
 from .machine import (
     _enter, _eval_operands, apply_cont, apply_proc, cont_begin, invoke_fail,
@@ -58,10 +62,8 @@ return _miss(m, {p}, ({xs}), {k}, {app}, globals(), {lam!r})"""
 _SELF = """if type({p}) is Closure and {p}.lam is {lam}:
     p, xs = {p}, ({xs})
     env = [p.env, {frame}]
-    if {lam}.defines: env += [UNASSIGNED] * {lam}.defines
     _enter(m, p, env, xs, {k}, {app})
-    k = {k}
-    continue
+{turn}    continue
 """
 # a return point's head, and that of one that loops, with the loop's end
 _RETURN = "    {fields} = m.fields_reg\n    v = m.value_reg\n"
@@ -123,7 +125,9 @@ class _Code:
     def __init__(self, ns, lam, root=None):
         self.ns, self.lines, self.guards, self.ints = ns, [], {}, set()
         self.lam = lam
-        self.params = lam and len(lam.params) + (lam.rest is not None) or 0
+        # the parameter count of each frame this code builds itself, innermost
+        # first: the lambda's and those of the `let`s run inline in it
+        self.frames = lam and (len(lam.params) + (lam.rest is not None),) or ()
         self.labels, self.todo = (
             ({}, []) if root is None else (root.labels, root.todo))
 
@@ -154,14 +158,15 @@ class _Code:
         label = self.labels.get((app, i))
         if label is None:
             label = self.labels[app, i] = f"r{len(self.labels)}"
-            self.todo.append((app, i, label))
+            self.todo.append((app, i, label, self.frames))
         return label
 
-    def handler(self, app, i, label):
-        """The source of return point `label`, after `app`'s operand `i - 1`;
-        a literal operand before it is known here."""
+    def handler(self, app, i, label, frames):
+        """The source of return point `label`, after `app`'s operand `i - 1`,
+        whose `env` has the `frames` the code that named it had built; a
+        literal operand before it is known here."""
         code = _Code(self.ns, None, self)
-        code.params = self.params
+        code.frames = frames
         xs = [code.value(arg, "") if type(arg) is Literal else f"a{j}"
               for j, arg in enumerate(app.args[:i - 1])]
         loop = app.prim and all(
@@ -208,9 +213,10 @@ class _Code:
                 temp = self.name(node.val(None, None))
                 if type(node.value) is int:
                     self.ints.add(temp)
-            elif (type(node) is VarRef and node.depth == 0
-                  and node.index <= self.params):
-                temp = f"env[{node.index}]"  # a parameter is never unassigned
+            elif (type(node) is VarRef and node.depth < len(self.frames)
+                  and node.index <= self.frames[node.depth]):
+                # a parameter of a frame this code built is never unassigned
+                temp = f"env{'[0]' * node.depth}[{node.index}]"
             elif isinstance(node, VarRef):
                 read = (f"get({self.name(node.name)}, UNASSIGNED)"
                         if node.index is None
@@ -284,8 +290,9 @@ class _Code:
             if (type(node) is IfExpr and isinstance(node.test, _INLINE)
                     and node.then is not None):
                 code.append(f"{pad}if {self.test(node.test, pad)}:")
+                frames = self.frames
                 self.run(node.then, k, pad + "    ", depth + 1)
-                node = node.alt
+                node, self.frames = node.alt, frames
             elif type(node) is BeginExpr:
                 forms, node = node.body, node.body[-1]
                 for i, form in enumerate(forms[:-1]):
@@ -317,6 +324,8 @@ class _Code:
                 if node.prim:
                     self.guards[node.op.name, node.prim] = None
                     proc = self.name(node.prim)
+                elif type(node) is LetExpr:
+                    proc = self.name(node.op)
                 else:
                     proc = self.value(node.op, pad)
                 step = self.operands(node, proc, 0, [], k, pad)
@@ -336,20 +345,28 @@ class _Code:
         apply `proc` to them toward `k`; gives the first stepped operand and
         the continuation made for it, or None once the call is written.  A
         primitive's value goes to `k`, or to the next turn of the loop of
-        return point `loop` if `k` was made at its site."""
+        return point `loop` if `k` was made at its site.  A `let` gives its
+        body, to be run toward `k` once its frame is built."""
         code, args = self.lines, app.args
+        let = type(app) is LetExpr
         for j, arg in enumerate(args[i:], i):
             if not isinstance(arg, _INLINE):
                 # a prefix of literals is one tuple, made now; the frame is
-                # None where no operand follows (see `machine.cont_operand`)
+                # None where no operand follows and no `let` body links to it
+                # (see `machine.cont_operand`)
                 acc = (self.name(tuple(a.value for a in args[:j]))
                        if xs and all(type(a) is Literal for a in args[:j])
                        else f"({_items(xs)})")
-                return arg, self.cont(pad, self.ret(app, j + 1), proc,
-                                      self.name(app), j + 1, acc,
-                                      "env" if j + 1 < len(args) else "None",
-                                      k)
+                return arg, self.cont(
+                    pad, self.ret(app, j + 1), proc, self.name(app), j + 1,
+                    acc, "env" if j + 1 < len(args) or let else "None", k)
             xs.append(self.value(arg, pad))
+        if let:
+            lam = app.op
+            code.append(f"{pad}env = [env, "
+                        f"{_items([*xs, *['UNASSIGNED'] * lam.defines])}]")
+            self.frames = (len(xs), *self.frames)
+            return lam.body, k
         temp = f"t{len(code)}"
         if app.prim:
             code.append(f"{pad}{temp} = {self.apply(app.prim, xs, temp)}")
@@ -360,8 +377,11 @@ class _Code:
                                        app=self.name(app))
             end = _CALL.format(lam=self.name(None), **call)
             if lam and lam.rest is None and len(lam.params) == len(xs):
-                end = _SELF.format(lam=self.name(lam), frame=_items(
-                    f"xs[{i}]" for i in range(len(xs))), **call) + end
+                frame = [*(f"xs[{i}]" for i in range(len(xs))),
+                         *["UNASSIGNED"] * lam.defines]
+                end = _SELF.format(
+                    lam=self.name(lam), frame=_items(frame),
+                    turn=f"    k = {k}\n" * (k != "k"), **call) + end
         code += [pad + line for line in end.split("\n")]
         return None
 

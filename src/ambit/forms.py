@@ -37,7 +37,11 @@ a `GlobalRef`, and a local one stays a `VarRef`.  An application whose
 operator is a global holding an ordinary primitive of fitting arity gets it
 in `AppExpr.prim`: with a pure primitive and operands all computed inline
 it is computed inline too (`PrimApp1`, `PrimApp2`, `PrimAppN`, by operand
-count).  The machine compiles the body of a lambda it has entered often.
+count).  A lambda applied where it is written, to as many operands as it
+has parameters and with no rest parameter, is a `LetExpr`, as every `let`,
+each step of a `let*` and the `(let () …)` of a `letrec` are: a binding
+form, which the machine runs with no closure and no call (Steele 1978).
+The machine compiles the body of a lambda it has entered often.
 """
 
 from . import syntax
@@ -105,7 +109,8 @@ class LambdaExpr:
     """`body` is one node, a `BeginExpr` for several forms; `defines` counts
     the slots its body's `define`s add after the parameters; `entries`
     counts the machine's entries into its closures, and is None once the
-    machine has compiled its body."""
+    machine has compiled its body.  A `let`'s lambda makes no closure, so
+    it never counts or compiles on its own."""
 
     __slots__ = ("params", "rest", "body", "defines", "entries")
 
@@ -160,6 +165,7 @@ GlobalRef = _node_class("GlobalRef", VarRef)
 PrimAppN = _node_class("PrimAppN", AppExpr)
 PrimApp1 = _node_class("PrimApp1", PrimAppN)
 PrimApp2 = _node_class("PrimApp2", PrimAppN)
+LetExpr = _node_class("LetExpr", AppExpr)
 
 # `(begin)`, a one-armed `if`'s `alt` and the end of a `cond`'s chain of ifs
 _VOID = Literal(VOID)
@@ -363,7 +369,7 @@ def _parse_pair(form, scope):
     args = tuple(_parse(a, scope) for a in items[1:])
     line, col = _loc(form)
     if type(op) is not VarRef:
-        return AppExpr(op, args, None, line, col, scope.source)
+        return _app(op, args, scope.source, line, col)
     app = AppExpr(op, args, op.name.name, line, col, scope.source)
     scope.apps.append(app)
     return app
@@ -549,6 +555,13 @@ def _lower_qq(template, scope):
     return _app(_QQ_LIST, nodes), True
 
 
-def _app(op, operands, source=None):
-    # a call site the traceback never shows carries no location
-    return AppExpr(op, tuple(operands), None, None, None, source)
+def _app(op, operands, source=None, line=None, col=None):
+    """An application; a call site the traceback never shows carries no
+    location.  A lambda applied where it is written, to as many operands as
+    it has parameters and no rest parameter, is a `LetExpr`: it binds, and
+    is never a call."""
+    app = AppExpr(op, tuple(operands), None, line, col, source)
+    if (type(op) is LambdaExpr and op.rest is None
+            and len(op.params) == len(app.args)):
+        app.__class__ = LetExpr
+    return app

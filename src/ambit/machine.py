@@ -30,8 +30,12 @@ and compiled code both end in), delivering to a continuation (`apply_cont`)
 and resuming a choice point (`invoke_fail`) only assign registers and return
 to the trampoline, so host call depth grows only with the nesting that
 `parse_core` itself recursed through, however deeply the interpreted program
-recurses.  A lambda's body is one node; a body of several forms runs them in
-one loop that makes a continuation only for a form that needs the machine.
+recurses.  A `let` (a `LetExpr`) is not a call: once its operands are in,
+its body starts from the trampoline in a frame of their values that links to
+the caller's, with no closure, no arity check and no trace node, so an error
+in it shows the frame of the procedure around it.  A lambda's body is one
+node; a body of several forms runs them in one loop that makes a
+continuation only for a form that needs the machine.
 
 Once a lambda's closures have been entered `_HOT_ENTRIES` times, its body
 is compiled to Python (see `compiler`), as are an application's return
@@ -51,8 +55,8 @@ import sys
 from .errors import EvalError, SchemeError
 from .forms import (
     AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
-    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, SetExpr, VarRef,
-    parse_core,
+    LambdaExpr, LetExpr, Literal, PrimApp1, PrimApp2, PrimAppN, SetExpr,
+    VarRef, parse_core,
 )
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
@@ -266,7 +270,13 @@ def _app_run(app, m, env, k):
         _eval_operands(m, proc, app, 0, (), env, k)
 
 
+def _let_run(app, m, env, k):
+    # the operator of a `let` is its lambda, never a closure of it
+    _eval_operands(m, app.op, app, 0, (), env, k)
+
+
 AppExpr.run = _app_run
+LetExpr.run = _let_run
 PrimAppN.val = _prim_app_val
 PrimApp1.val = _prim_app1_val
 PrimApp2.val = _prim_app2_val
@@ -304,7 +314,9 @@ def _eval_operands(m, proc, app, i, acc, env, k):
     """Evaluate remaining operands left to right, then apply.  A run of
     values computed inline is gathered in a list, and the continuation of a
     stepped operand (see `cont_operand`) gets the values as a tuple, and
-    `env` only if an operand follows."""
+    `env` only if an operand follows or `proc` is a `let`'s lambda, whose
+    body then runs toward `k` in a frame of the values that links to `env`
+    (Steele 1978)."""
     args = app.args
     n = len(args)
     values = acc
@@ -313,13 +325,24 @@ def _eval_operands(m, proc, app, i, acc, env, k):
         i += 1
         value = arg.val(m, env)
         if value is _STEP:
-            arg.run(m, env, m.make_cont(cont_operand, proc, app, i,
-                                        tuple(values), env if i < n else None,
-                                        k))
+            arg.run(m, env, m.make_cont(
+                cont_operand, proc, app, i, tuple(values),
+                env if i < n or type(proc) is LambdaExpr else None, k))
             return
         if values is acc:
             values = [*acc]
         values.append(value)
+    if type(proc) is LambdaExpr:
+        # from the trampoline, so a `let*` of any length runs in constant
+        # host depth, though `parse_core` builds it in a loop
+        env = [env, *values]
+        if proc.defines:
+            env += [UNASSIGNED] * proc.defines
+        m.exp_reg = proc.body
+        m.env_reg = env
+        m.k_reg = k
+        m.pc = _run
+        return
     apply_proc(m, proc, acc if values is acc else tuple(values), k, app)
 
 

@@ -464,20 +464,33 @@ def test_inline_trees_after_a_stepped_subform_take_the_stepped_path():
     assert all(compiled_body(machine, name) for name in "fhm")
 
 
-def test_a_continuation_captured_in_a_compiled_body_is_reentered():
+@pytest.mark.parametrize("f, want", [
+    ("(lambda (x) (list (car (list x)) "
+     "(call/cc (lambda (c) (set! saved c) 1)) (* x 2)))", "(5 7 10)"),
+    # captured in a `let` body, so re-entry resumes in the `let`'s frame
+    ("(lambda (x) (let ((y (* x 2))) "
+     "(list y (call/cc (lambda (c) (set! saved c) 1)) (+ x y))))",
+     "(10 7 15)"),
+])
+def test_a_continuation_captured_in_a_compiled_body_is_reentered(f, want):
     values, machine = compiled_and_stepped(
-        ["(define saved #f)", "(define f (lambda (x) (list (car (list x)) "
-         "(call/cc (lambda (c) (set! saved c) 1)) (* x 2))))",
-         "(define r (f 5))", "(saved 7)"], "r")
-    assert values == ["(5 7 10)"]
+        ["(define saved #f)", f"(define f {f})", "(define r (f 5))",
+         "(saved 7)"], "r")
+    assert values == [want]
     assert compiled_body(machine, "f")
 
 
-def test_a_choose_operand_of_a_compiled_body_is_exhausted():
-    values, machine = compiled_and_stepped(
-        ["(define f (lambda (x) (let ((y (- x (choose 1 2 3)))) "
-         "(require (not (= y 8))) (* y 2))))"], "(f 10)")
-    assert values == ["18", "14"]
+@pytest.mark.parametrize("f, call, want", [
+    ("(lambda (x) (let ((y (- x (choose 1 2 3)))) (require (not (= y 8))) "
+     "(* y 2)))", "(f 10)", ["18", "14"]),
+    # `choose` in two operands of a `let`, with an inline one between
+    ("(lambda (x) (let ((a (choose 1 2 3)) (b (+ x 1)) (c (choose 'p 'q))) "
+     "(require (not (= a x))) (list a b c)))", "(f 2)",
+     ["(1 3 p)", "(1 3 q)", "(3 3 p)", "(3 3 q)"]),
+])
+def test_a_choose_operand_of_a_compiled_body_is_exhausted(f, call, want):
+    values, machine = compiled_and_stepped([f"(define f {f})"], call)
+    assert values == want
     assert compiled_body(machine, "f")
 
 
@@ -574,7 +587,8 @@ def test_compiled_scans_among_stepped_subforms_make_the_same_continuations():
          "(require (not (memq y (list x 'c)))) "
          "(list y (member x (list 'a (choose 'b 'c)))))))"], "(f 'a)")
     assert values == ["(b (a b))", "(b (a c))"]
-    assert compiled(body(machine, "f")[0].op.body)
+    # the `let` is compiled in `f`'s body, not as a lambda of its own
+    assert compiled_body(machine, "f")
 
 
 def test_a_compiled_statement_require_fails_without_calling_its_primitive():
@@ -691,9 +705,12 @@ def test_a_cached_call_of_a_callee_of_another_arity():
      "ArityError: g: expected 2 argument(s), got 1"),
     (["(define g (lambda (a b . r) a))", "(define f (lambda () (g 1)))"],
      "(f)", "ArityError: g: expected at least 2 argument(s), got 1"),
-    # an anonymous `let` lambda, and calls through `apply`
+    # an anonymous `let` lambda, a lambda applied directly to more operands
+    # than it has parameters, and calls through `apply`
     (["(define f (lambda () ((let ((y 1)) (lambda (x) (+ x y))) 1 2)))"],
      "(f)", "ArityError: #<procedure>: expected 1 argument(s), got 2"),
+    ([], "((lambda (y) y) 1 2)",
+     "ArityError: #<procedure>: expected 1 argument(s), got 2"),
     (["(define f (lambda () (apply (lambda (x . r) x) (list))))"], "(f)",
      "ArityError: #<procedure>: expected at least 1 argument(s), got 0"),
     (["(define g (lambda (x) x))", "(define f (lambda () (apply g 1 '(2))))"],
@@ -1134,6 +1151,121 @@ def test_a_scan_whose_test_value_is_returned_still_gives_the_tail(form):
         [f"(define f (lambda (x y) (list {form})))"],
         "(list (f 1 2) (f 2 2) (f 3 2) (f 4 2))")
     assert values == ["(((1 2 3)) ((2 3)) ((3)) (none))"]
+
+
+# --- a `let` is not a call ---------------------------------------------------
+
+
+def let_lambda(machine, name):
+    """The operator of the application that is the named procedure's body:
+    here, a lambda applied where it is written."""
+    node = machine.globals[intern(name)].lam.body
+    return (node.body[0] if compiled(node) else node).op
+
+
+@pytest.mark.parametrize("f, call, want", [
+    ("(lambda (x) (let ((y (* x 2)) (z x)) (list y z)))", "(f 3)", "(6 3)"),
+    ("(lambda (x) (let* ((y (* x 2)) (z (+ y 1))) (list x y z)))", "(f 3)",
+     "(3 6 7)"),
+    ("(lambda (n) (letrec ((ev? (lambda (n) (if (= n 0) #t (od? (- n 1))))) "
+     "(od? (lambda (n) (if (= n 0) #f (ev? (- n 1)))))) (list (ev? n) "
+     "(od? n))))", "(f 7)", "(#f #t)"),
+    # a body `define` in the `let`, read in its frame and from a closure
+    ("(lambda (x) (let ((y (+ x 1))) (define z (* y 10)) "
+     "(define get (lambda () z)) (+ y (get))))", "(f 1)", "22"),
+    # a stepped operand, then the frame built in the return point
+    ("(lambda (x) (let ((y (g x)) (z (+ x 1))) (list x y z)))", "(f 4)",
+     "(4 4 5)"),
+    # nested, in an operand, and in a test
+    ("(lambda (x) (let ((v (+ (let ((y 1)) (let ((z (+ y x))) (* z z))) "
+     "(if (let ((w x)) (> w 2)) 100 0)))) v))", "(f 3)", "116"),
+])
+def test_a_let_runs_in_its_callers_frame_compiled_and_stepped(f, call, want):
+    values, machine = compiled_and_stepped(
+        ["(define g (lambda (v) v))", f"(define f {f})"], call)
+    assert values == [want]
+    assert compiled_body(machine, "f")
+    # the `let` neither counts entries nor compiles on its own
+    lam = let_lambda(machine, "f")
+    assert lam.entries == 0 and not compiled(lam.body)
+
+
+@pytest.mark.parametrize("f, call, want", [
+    ("(lambda (n acc) (let ((j (- n 1))) (if (= n 0) acc (f j (+ acc n)))))",
+     "(f 100 0)", "5050"),
+    ("(lambda (n) (let ((j (- n 1))) (if (= n 0) 0 (+ 1 (f j)))))",
+     "(f 100)", "100"),
+])
+def test_a_self_call_in_a_let_body_jumps_back_to_the_body(f, call, want):
+    values, machine = compiled_and_stepped([f"(define f {f})"], call)
+    assert values == [want]
+    assert body_runs(machine, "f", call) == 1
+
+
+@pytest.mark.parametrize("f", [
+    "(lambda (x) (let ((y (+ x 1))) (car y)))",
+    "(lambda (x) (let ((y (+ x 1))) (+ 1 (car y))))",
+    "(lambda (x) (let* ((y (+ x 1)) (z y)) (list (car z))))",
+])
+def test_an_error_in_a_let_body_shows_the_enclosing_procedure(f):
+    (line, frames), machine = compiled_and_stepped(
+        [f"(define f {f})", "(define outer (lambda (n) (list (f n))))"],
+        "(outer 1)")
+    assert line == "car: expected a pair, got 2"
+    # `f`'s frame, at its call in `outer`, and no frame for the `let`
+    assert frames == (("outer", ("1",), 1, 1, "<input>"),
+                      ("f", ("1",), 1, 33, "<input>"))
+    assert compiled_body(machine, "f")
+
+
+@pytest.mark.parametrize("f, call", [
+    # `late` is slot 3 of the `let`'s frame, a slot that is a parameter of
+    # `f`'s own frame
+    ("(lambda (a b c) (let ((x a)) (display late) (define late x) late))",
+     "(f 1 2 3)"),
+    # `late` is slot 2 of `f`'s frame, a parameter slot of the `let` in the
+    # other branch
+    ("(lambda (a) (display (if (> a 5) (let ((x 1) (y 2)) x) late)) "
+     "(define late a) late)", "(f 1)"),
+    # slot 2 of the `let`'s frame, read in a return point
+    ("(lambda (a b c) (let ((x a)) (display (list (g x) late)) "
+     "(define late x) late))", "(f 1 2 3)"),
+])
+def test_a_define_slot_keeps_its_unassigned_test_beside_a_let(f, call):
+    (line, frames), machine = compiled_and_stepped(
+        ["(define g (lambda (v) v))", f"(define f {f})",
+         f"(define outer (lambda () (list {call})))"], "(outer)")
+    assert line == "UnboundVariable: late"
+    assert [frame[0] for frame in frames] == ["outer", "f"]
+    assert compiled_body(machine, "f")
+
+
+@pytest.mark.parametrize("f, want, binds", [
+    ("(lambda (x) ((lambda (y z) (list x y z)) (+ x 1) x))", "(1 2 1)", True),
+    # a rest parameter: a call, whose closure is entered and counted
+    ("(lambda (x) ((lambda (y . r) (list y r)) x x x))", "(1 (1 1))", False),
+])
+def test_a_lambda_applied_directly_binds_only_when_its_count_fits(
+        f, want, binds):
+    values, machine = compiled_and_stepped([f"(define f {f})"], "(f 1)")
+    assert values == [want]
+    assert compiled_body(machine, "f")
+    assert (let_lambda(machine, "f").entries == 0) is binds
+
+
+def test_a_hot_body_of_nested_lets_and_ifs_compiles_to_bounded_depth():
+    # the nesting depth carries into each `let`'s body, so the compiled code
+    # stops indenting at `_NEST` levels and runs the rest stepped
+    body = "(* a0 2)"
+    for i in reversed(range(1, 201)):
+        if i % 2:
+            body = f"(if (< a{i} 1000) {body} {i})"
+        body = f"(let ((a{i} (+ a{i - 1} 1))) {body})"
+    values, machine = compiled_and_stepped(
+        [f"(define f (lambda (a0) {body}))", "(f 1)"],
+        "(list (f 1) (f 850) (f 998))")
+    assert values == ["(2 151 3)"]
+    assert compiled_body(machine, "f")
 
 
 # --- the inline expressions of `not`, `null?` and `list` ---------------------

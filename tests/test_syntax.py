@@ -12,7 +12,7 @@ from ambit import Machine, Pair, Symbol, equal, intern, read_all, write_value
 from ambit.errors import FormError, MacroError
 from ambit.forms import (
     AppExpr, BeginExpr, ChooseExpr, DefineExpr, GlobalRef, IfExpr,
-    LambdaExpr, Literal, PrimApp1, PrimApp2, PrimAppN, VarRef,
+    LambdaExpr, LetExpr, Literal, PrimApp1, PrimApp2, PrimAppN, VarRef,
     parse_core,
 )
 from ambit.syntax import (
@@ -455,6 +455,15 @@ def test_applications_left_generic():
     assert type(core.body) is AppExpr and core.body.prim.name == "list"
     assert [type(arg) for arg in core.body.args] == [AppExpr] * 4
     assert all(arg.prim is None for arg in core.body.args)
+
+
+def test_a_lambda_applied_where_it_is_written_is_a_let_when_its_count_fits():
+    core = core_of("(list (let ((a 1) (b 2)) a) (let* ((a 1) (b a)) b) "
+                   "(letrec ((a 1)) a) ((lambda (x) x) 1) ((lambda (x) x)) "
+                   "((lambda x x) 1) ((lambda (x . r) x) 1))")
+    assert [type(arg) for arg in core.args] == [LetExpr] * 4 + [AppExpr] * 3
+    # each step of a `let*` is one
+    assert type(core.args[1].op.body) is LetExpr
 
 
 def test_require_in_a_body_before_its_last_form_is_an_inline_application():
