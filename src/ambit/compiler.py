@@ -9,10 +9,11 @@ continuations that often.  Inline values are Python expressions: `not`,
 (`primitives._SCAN`), which builds no list where only its truth is read,
 and `+ - = < >` on fixnums while the primitive keeps its `fn`
 (`primitives._FIXNUM`).  A `choose` pushes the choice point its `run`
-would and runs its first alternative in place.  The continuations the
-stepped path makes get its fields, a prefix of literal operands as one
-tuple, and a handler written for their position, which runs the rest of the
-application, and which loops while a primitive's value goes to a
+would, the same tuple, and runs its first alternative in place.  The
+continuations the stepped path makes are written as its tuples, `(label,
+spine, *fields)`, a prefix of literal operands as one tuple among the
+fields, with a handler written for their position, which runs the rest of
+the application, and which loops while a primitive's value goes to a
 continuation made at its own site.  A closure call hits a monomorphic
 inline cache (Deutsch & Schiffman 1984) for the compiled lambda of its arity
 it last met, builds the frame and enters through `machine._enter`, the
@@ -40,8 +41,7 @@ from .machine import (
 )
 from .primitives import _EXPRESSION, _FIXNUM, _SCAN
 from .values import (
-    BY_IDENTITY, INT64_MAX, INT64_MIN, NIL, UNASSIGNED, ChoicePoint, Closure,
-    Cont, Pair,
+    BY_IDENTITY, INT64_MAX, INT64_MIN, NIL, UNASSIGNED, Closure, Pair,
 )
 
 # how deep compiled code nests (Python's parser allows 100 levels of
@@ -71,10 +71,10 @@ _LOOP = """    fields, v, trace = m.fields_reg, m.value_reg, m.trace
     while True:
         {fields} = fields
 """
-_TURN = """if {k}.label is not {label}:
+_TURN = """if {k}[0] is not {label}:
     return apply_cont(m, {k}, {t})
-trace.spine = {k}.spine
-fields, v = {k}.fields, {t}"""
+trace.spine = {k}[1]
+fields, v = {k}, {t}"""
 
 
 def fuse(lam):
@@ -176,7 +176,7 @@ class _Code:
                              loop and label)
         if step:
             code.run(*step, pad, 0)
-        fields = "proc, app, i, ({}), env, k".format(
+        fields = "_, _, proc, app, i, ({}), env, k".format(
             _items(x if x[0] == "a" else "_" for x in xs))
         return code.function(
             f"{label}(m)",
@@ -315,7 +315,7 @@ class _Code:
                     code.append(f"{pad}return invoke_fail(m)")
                     return
                 if len(node.exprs) > 1:
-                    code.append(f"{pad}m.fail_reg = ChoicePoint("
+                    code.append(f"{pad}m.fail_reg = ("
                                 f"{self.name(node.exprs)}, 1, env, {k}, "
                                 "m.fail_reg, m.trace.spine)")
                 node = node.exprs[0]
@@ -389,8 +389,8 @@ class _Code:
         """What `Machine.make_cont` does, written out."""
         temp = f"c{len(self.lines)}"
         self.lines += [f"{pad}m.cont_allocations += 1",
-                       f"{pad}{temp} = Cont({label}, "
-                       f"({_items(map(str, fields))}), m.trace.spine)"]
+                       f"{pad}{temp} = ({label}, m.trace.spine, "
+                       f"{_items(map(str, fields))})"]
         return temp
 
 

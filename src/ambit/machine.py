@@ -3,9 +3,14 @@
 Evaluation is driven by a single loop that repeatedly invokes the handler
 designated by the `pc` register; `Machine.eval_top` is the one way into it
 and out of it.  Handlers only test and assign registers and never call one
-another.  Continuations are immutable tagged records (`Cont`), and the fail
-register holds a chain of choice points that implements chronological
-backtracking for `choose`.
+another.  A continuation is one immutable tuple `(label, spine, *fields)`:
+the handler to resume, the trace spine to make current, and the registers
+it saves (after Friedman and Wand's data-structure continuations); `call/cc`
+wraps one in a `Cont` to hand it to a program.  The fail register holds a
+chain of choice points, each the tuple `(alternatives, index, env, k,
+parent, spine)` ending in TERMINAL_FAIL, that implements chronological
+backtracking for `choose`.  Neither kind of tuple is ever changed, so a
+re-entered continuation or a saved fail chain stays valid.
 
 Variables arrive resolved by `forms`: a local is slot `index` of the frame
 `depth` links out from `env_reg`, where a frame is a list whose slot 0 is
@@ -61,8 +66,7 @@ from .forms import (
 from .reader import SourceDatum, read_all
 from .trace import TraceStack
 from .values import (
-    TERMINAL_FAIL, UNASSIGNED, VOID, ChoicePoint, Closure, Cont, Primitive,
-    list_from,
+    TERMINAL_FAIL, UNASSIGNED, VOID, Closure, Cont, Primitive, list_from,
 )
 from .writer import write_value
 
@@ -106,7 +110,7 @@ class Machine:
 
     def make_cont(self, label, *fields):
         self.cont_allocations += 1
-        return Cont(label, fields, self.trace.spine)
+        return (label, self.trace.spine) + fields
 
     def trampoline(self):
         """Run handlers until `pc` clears, then return the value register.
@@ -166,16 +170,17 @@ class Machine:
 
 
 def apply_cont(m, k, value):
-    """Deliver `value` to continuation `k` by setting registers.
+    """Deliver `value` to continuation `k` by setting registers; its
+    handler `k[0]` reads its fields from `fields_reg`, past the first two.
 
     Making `k`'s frame spine current is what pops the frames of applications
     that have now produced their result; for a re-entered continuation it
     brings back the frames that were pending when `k` was made.
     """
-    m.trace.spine = k.spine
+    m.trace.spine = k[1]
     m.value_reg = value
-    m.fields_reg = k.fields
-    m.pc = k.label
+    m.fields_reg = k
+    m.pc = k[0]
 
 
 def _run(m):
@@ -285,7 +290,7 @@ PrimApp2.val = _prim_app2_val
 _HOT_ENTRIES = 1000
 
 def cont_operator(m):
-    app, env, k = m.fields_reg
+    _, _, app, env, k = m.fields_reg
     _eval_operands(m, m.value_reg, app, 0, (), env, k)
 
 
@@ -297,7 +302,7 @@ def cont_operand(m):
     `app.site` counts these resumptions up to `_HOT_ENTRIES`, then holds the
     return points compiled for each `i` (see `compiler`), or None if it
     never will."""
-    proc, app, i, acc, env, k = m.fields_reg
+    _, _, proc, app, i, acc, env, k = m.fields_reg
     site = app.site
     if type(site) is int:
         app.site = site + 1
@@ -367,7 +372,7 @@ IfExpr.run = _if_run
 
 
 def cont_if(m):
-    exp, env, k = m.fields_reg
+    _, _, exp, env, k = m.fields_reg
     value = m.value_reg
     if value is not False and exp.then is None:
         apply_cont(m, k, value)
@@ -398,7 +403,7 @@ def _finish_define(m, exp, value, env, k):
 
 
 def cont_define(m):
-    exp, env, k = m.fields_reg
+    _, _, exp, env, k = m.fields_reg
     _finish_define(m, exp, m.value_reg, env, k)
 
 
@@ -432,7 +437,7 @@ def _assign(m, ref, env, value):
 
 
 def cont_set(m):
-    ref, env, k = m.fields_reg
+    _, _, ref, env, k = m.fields_reg
     _assign(m, ref, env, m.value_reg)
     apply_cont(m, k, VOID)
 
@@ -456,7 +461,7 @@ BeginExpr.run = lambda exp, m, env, k: _run_body(m, exp.body, 0, env, k)
 
 
 def cont_begin(m):
-    body, i, env, k = m.fields_reg
+    _, _, body, i, env, k = m.fields_reg
     _run_body(m, body, i, env, k)
 
 
@@ -519,7 +524,7 @@ def apply_proc(m, proc, args, k, app=None):
     if t is Cont:
         if len(args) != 1:
             _raise_arity("continuation", 1, 1, len(args))
-        apply_cont(m, proc, args[0])
+        apply_cont(m, proc.k, args[0])
         return
     raise EvalError("NotAProcedure", write_value(proc))
 
@@ -533,7 +538,7 @@ def _enter(m, proc, env, args, k, app):
     `define` does not rename a pending frame."""
     trace = m.trace
     if trace.config.enabled:
-        parent = k.spine
+        parent = k[1]
         depth = 1 if parent is None else parent[4] + 1
         trace.spine = (app and app.op_name or _proc_label(proc, None), args,
                        app, parent, depth)
@@ -558,8 +563,8 @@ def _choose_run(exp, m, env, k):
         invoke_fail(m)
         return
     if len(alternatives) > 1:
-        m.fail_reg = ChoicePoint(alternatives, 1, env, k, m.fail_reg,
-                                 m.trace.snapshot())
+        m.fail_reg = (alternatives, 1, env, k, m.fail_reg,
+                      m.trace.snapshot())
     alternatives[0].run(m, env, k)
 
 
@@ -574,21 +579,20 @@ def invoke_fail(m):
     "no more choices" to the halt continuation.
     """
     f = m.fail_reg
-    if type(f) is not ChoicePoint:
+    if f is TERMINAL_FAIL:
         apply_cont(m, m.halt, NO_MORE_CHOICES)
         return
-    alternatives = f.alternatives
-    index = f.index + 1
+    alternatives, index, env, k, parent, spine = f
+    alternative = alternatives[index]
+    index += 1
     # the chain holds no point whose last alternative has been taken
-    m.fail_reg = (f.parent if index == len(alternatives) else
-                  ChoicePoint(alternatives, index, f.env, f.k, f.parent,
-                              f.spine))
-    alternative = alternatives[index - 1]
-    if type(alternative) is Literal:  # which makes `f.k`'s spine current
-        apply_cont(m, f.k, alternative.value)
+    m.fail_reg = (parent if index == len(alternatives) else
+                  (alternatives, index, env, k, parent, spine))
+    if type(alternative) is Literal:  # which makes `k`'s spine current
+        apply_cont(m, k, alternative.value)
         return
-    m.trace.restore(f.spine)
+    m.trace.restore(spine)
     m.exp_reg = alternative
-    m.env_reg = f.env
-    m.k_reg = f.k
+    m.env_reg = env
+    m.k_reg = k
     m.pc = _run

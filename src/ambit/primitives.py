@@ -585,7 +585,7 @@ def _prim_apply(m, args, k):
 
 
 def _prim_callcc(m, args, k):
-    apply_proc(m, args[0], (k,), k)
+    apply_proc(m, args[0], (Cont(k),), k)
 
 
 # --- misc ----------------------------------------------------------------

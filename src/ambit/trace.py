@@ -6,9 +6,10 @@ argument values captured when the closure was entered, the application form
 it was entered from, which gives the call site (None for an entry through
 `apply` or `call/cc`), the node below it (None at the bottom) and its
 height.  Every continuation records the spine that was current when it was
-made, and delivering a value to it makes that spine current again, so
-returning pops frames and a re-entered `call/cc` continuation or a resumed
-choice point shows exactly the frames pending where it resumes.  Entering a
+made in its slot 1, and a choice point in its last slot; delivering a value
+to a continuation makes that spine current again, so returning pops frames
+and a re-entered `call/cc` continuation or a resumed choice point shows
+exactly the frames pending where it resumes.  Entering a
 closure (`machine._enter`) puts one node on top of the spine of the
 continuation the callee returns to, so a tail call replaces its caller's
 frame and the trace stays bounded for loops.  A failed evaluation hands

@@ -116,38 +116,18 @@ class Primitive:
 
 
 class Cont:
-    """A resume point plus its saved register values.
+    """A continuation as a Scheme value: what `call/cc` hands its receiver.
 
-    Continuations are immutable, first-class, and may be applied any number
-    of times.  `spine` is the trace frame spine (see `trace`) that was
-    current when the continuation was made; delivering a value to the
-    continuation makes it current again, which pops the frames of the
-    applications that have returned and restores the frames of a re-entered
-    continuation.
+    The machine's own continuations are immutable tuples `(label, spine,
+    *fields)` (see `machine`), which nothing but this wrapper lets a program
+    see; applying it delivers to the tuple `k` it wraps, any number of
+    times.
     """
 
-    __slots__ = ("label", "fields", "spine")
+    __slots__ = ("k",)
 
-    def __init__(self, label, fields, spine):
-        self.label = label
-        self.fields = fields
-        self.spine = spine
-
-
-class ChoicePoint:
-    """One pending `choose`: its untried alternatives `alternatives[index:]`
-    plus everything needed to resume there (frame, continuation, trace
-    spine, parent point)."""
-
-    __slots__ = ("alternatives", "index", "env", "k", "parent", "spine")
-
-    def __init__(self, alternatives, index, env, k, parent, spine):
-        self.alternatives = alternatives
-        self.index = index
-        self.env = env
+    def __init__(self, k):
         self.k = k
-        self.parent = parent
-        self.spine = spine
 
 
 def scheme_list(*items):

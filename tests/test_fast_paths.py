@@ -1055,14 +1055,32 @@ def test_a_compiled_choose_agrees_with_the_stepped_path(forms, call, want):
     assert compiled_body(machine, "f")
 
 
+@pytest.mark.parametrize("entries", [1, 10 ** 9])
+def test_resuming_a_choice_point_leaves_it_unchanged(entries):
+    values, machine = compiled_and_stepped(
+        ["(define f (lambda () (choose 1 2 3)))"], "(f)", entries)
+    assert values == ["1", "2", "3"]
+    assert compiled_body(machine, "f") == (entries == 1)
+    assert ev(machine, "(f)") == 1
+    saved = machine.fail_reg
+    assert [ev(machine, "(choose)") for _ in range(2)] == [2, 3]
+    # (alternatives, index, env, k, parent, spine)
+    alternatives, index = saved[:2]
+    assert [form.value for form in alternatives[index:]] == [2, 3]
+    machine.fail_reg = saved
+    assert ev(machine, "(choose)") == 2
+
+
 def operand_conts(k):
-    """The continuations of stepped operands on `k`'s chain, newest first:
-    those of six fields, `(proc, app, i, acc, env, k)`."""
+    """The continuations of stepped operands on the chain of `k`, a
+    `call/cc` continuation, newest first: the tuples of six fields,
+    `(label, spine, proc, app, i, acc, env, k)`."""
     found = []
-    while k.fields:  # every continuation but the halt ends in its `k`
-        if len(k.fields) == 6:
+    k = k.k
+    while len(k) > 2:  # every continuation but the halt ends in its `k`
+        if len(k) == 8:
             found.append(k)
-        k = k.fields[-1]
+        k = k[-1]
     return found
 
 
@@ -1076,7 +1094,7 @@ def test_a_continuation_of_a_last_operand_holds_no_frame(entries):
         assert ev(machine, "(f 5)") == 5
         chain = operand_conts(machine.globals[intern("saved")])
         assert len(chain) == 5
-        assert all(k.fields[4] is None for k in chain)
+        assert all(k[6] is None for k in chain)
         assert ev(machine, "(saved 10)") == 15
 
 
@@ -1090,7 +1108,7 @@ def test_a_stepped_operand_before_another_keeps_the_frame(entries):
         "(list first r ((caddr first)) ((caddr r)))", entries)
     assert values == ["((1 7 #<procedure>) (2 7 #<procedure>) 7 7)"]
     saved = machine.globals[intern("saved")]
-    assert operand_conts(saved)[0] is saved and saved.fields[4][1] == 7
+    assert operand_conts(saved)[0] is saved.k and saved.k[6][1] == 7
 
 
 def test_continuations_made_at_one_compiled_site_share_a_literal_prefix():
@@ -1104,8 +1122,8 @@ def test_continuations_made_at_one_compiled_site_share_a_literal_prefix():
             "((1 a 2 2) (1 a 3 3))")
         second, first = to_pylist(machine.globals[intern("saved")])
         assert compiled_body(machine, "f")
-        assert first.fields[3] == (1, intern("a"))
-        assert first.fields[3] is second.fields[3]
+        assert first.k[5] == (1, intern("a"))
+        assert first.k[5] is second.k[5]
 
 
 # --- scans in test positions -------------------------------------------------

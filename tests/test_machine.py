@@ -352,6 +352,18 @@ def test_continuation_is_a_procedure(machine):
     assert ev(machine, "(call/cc (lambda (k) (procedure? k)))") is True
 
 
+def test_continuation_reentered_with_itself_is_the_same_value(machine):
+    ev(machine, "(define saved #f)")
+    ev(machine, "(define r (call/cc (lambda (k) (set! saved k) 1)))")
+    assert ev(machine, "r") == 1
+    ev(machine, "(saved saved)")
+    assert ev(machine, "(eq? r saved)") is True
+    assert ev(machine, "(eqv? r saved)") is True
+    assert ev(machine, "(procedure? r)") is True
+    assert write_value(ev(machine, "r")) == "#<continuation>"
+    assert write_value(ev(machine, "(list r)")) == "(#<continuation>)"
+
+
 def test_continuation_arity(machine):
     with pytest.raises(EvalError):
         ev(machine, "(call/cc (lambda (k) (k 1 2)))")
@@ -444,12 +456,12 @@ def test_non_tail_recursion_on_small_host_stack():
 
 
 def test_fail_chain_holds_remaining_alternatives(machine):
-    from ambit.values import ChoicePoint
-
     machine.eval_source("(choose 1 2 3)")
     point = machine.fail_reg
-    assert isinstance(point, ChoicePoint)
-    remaining = point.alternatives[point.index:]
+    # (alternatives, index, env, k, parent, spine)
+    assert type(point) is tuple and len(point) == 6
+    alternatives, index = point[:2]
+    remaining = alternatives[index:]
     assert [form.value for form in remaining] == [2, 3]
 
 
